@@ -176,31 +176,67 @@ def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(cdf) - 1)
 
 
+class _GuideTable:
+    """Exact inverse-CDF lookup over the rows of a CDF table.
+
+    Indexed search (Chen & Asau 1974; Devroye 1986, section III.2.4):
+    ``guide[r, g]`` counts the entries of row r that are <= g/G, for a power
+    of two G >= 2 * width. A lookup starts there, at floor(u * G), and steps
+    over the few entries still <= u. Because G is a power of two, u * G and
+    cdf * G are exact, so ``lookup`` equals
+    ``min(searchsorted(row, u, "right"), width - 1)`` for every u in [0, 1).
+    That needs only that the entries <= u form a prefix of the row, which
+    holds for a cumsum padded with 1.0 whether it ends just above or below 1.
+    """
+
+    def __init__(self, cdf_rows: np.ndarray):
+        n_rows, width = cdf_rows.shape
+        self.width = width
+        self.n_buckets = 1 << (2 * width - 1).bit_length()
+        # An infinite last column stops every scan at width - 1, the clamp.
+        table = cdf_rows.astype(np.float64)
+        table[:, -1] = np.inf
+        self._flat = table.ravel()
+        # Entry j of a row is <= g/G exactly when ceil(cdf[j] * G) <= g.
+        n_bins = self.n_buckets + 1
+        buckets = np.minimum(np.ceil(table * self.n_buckets), self.n_buckets)
+        buckets += n_bins * np.arange(n_rows)[:, None]
+        hist = np.bincount(buckets.astype(np.int64).ravel(), minlength=n_rows * n_bins)
+        counts = np.cumsum(hist.reshape(n_rows, n_bins)[:, :-1], axis=1)
+        # Flat position of the first entry of row r that is > g/G.
+        self._guide = (counts + width * np.arange(n_rows)[:, None]).ravel()
+
+    def lookup(self, u: np.ndarray, rows: np.ndarray | int = 0) -> np.ndarray:
+        """Column index per draw: entries of its row that are <= u, capped."""
+        base = rows * self.width
+        pos = self._guide[rows * self.n_buckets + (u * self.n_buckets).astype(np.int64)]
+        active = np.flatnonzero(self._flat[pos] <= u)
+        while active.size:
+            pos[active] += 1
+            active = active[self._flat[pos[active]] <= u[active]]
+        return pos - base
+
+
 class _SamplerTables:
     """Precomputed inverse-CDF tables for one configuration.
 
-    Splitter outcome rows are laid out per input pair (m, n); the tables are
-    tiny and amortize over millions of gates.
+    Splitter outcome rows are laid out per input pair (m, n); a mixture
+    stacks the routed rows below the interfering ones. The tables are tiny
+    and amortize over millions of gates.
     """
 
     def __init__(self, cfg: SimConfig):
         kind = cfg.source.kind
-        if kind is SourceKind.SINGLE:
-            self.arm_a_cdf = _poisson_cdf_array(cfg.mu)
-            self.arm_b_cdf = None
-            max_arm_a = len(self.arm_a_cdf) - 1
-            max_arm_b = 0
-        else:
-            half = _poisson_cdf_array(cfg.mu / 2.0)
-            self.arm_a_cdf = half
-            self.arm_b_cdf = half
-            max_arm_a = max_arm_b = len(half) - 1
-        self.max_arm_a = max_arm_a
-        self.max_arm_b = max_arm_b
-        self.max_total = max_arm_a + max_arm_b
+        single = kind is SourceKind.SINGLE
+        arm_cdf = _poisson_cdf_array(cfg.mu if single else cfg.mu / 2.0)
+        self.arm_a = _GuideTable(arm_cdf[None, :])
+        self.arm_b = None if single else self.arm_a
+        max_arm_a = len(arm_cdf) - 1
+        max_arm_b = 0 if single else max_arm_a
 
-        width = self.max_total + 1
+        width = max_arm_a + max_arm_b + 1
         self._row_stride = max_arm_b + 1
+        self.n_pairs = (max_arm_a + 1) * self._row_stride
 
         def build(rows_fn):
             table = np.ones((max_arm_a + 1, max_arm_b + 1, width))
@@ -208,19 +244,14 @@ class _SamplerTables:
                 for n in range(max_arm_b + 1):
                     row = np.cumsum(rows_fn(m, n))
                     table[m, n, : len(row)] = row
-                    table[m, n, len(row) :] = 1.0
             return table.reshape(-1, width)
 
-        self.interfering_cdf = (
-            build(_bs_probabilities_array)
-            if kind in (SourceKind.INDISTINGUISHABLE, SourceKind.MIXTURE)
-            else None
-        )
-        self.routing_cdf = (
-            build(_routing_probabilities_array)
-            if kind is not SourceKind.INDISTINGUISHABLE
-            else None
-        )
+        parts = []
+        if kind in (SourceKind.INDISTINGUISHABLE, SourceKind.MIXTURE):
+            parts.append(build(_bs_probabilities_array))
+        if kind is not SourceKind.INDISTINGUISHABLE:
+            parts.append(build(_routing_probabilities_array))
+        self.splitter = _GuideTable(np.concatenate(parts))
 
         counts = np.arange(width)
         self.click0 = 1.0 - (1.0 - cfg.detectors.eta0) ** counts
@@ -230,20 +261,6 @@ class _SamplerTables:
         return m * self._row_stride + n
 
 
-def _sample_rows(cdf_rows: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF sample one value per gate from per-gate table rows."""
-    out = np.empty(len(rows), dtype=np.int64)
-    if len(rows) == 0:
-        return out
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    boundaries = np.flatnonzero(np.diff(sorted_rows)) + 1
-    for seg in np.split(order, boundaries):
-        row = rows[seg[0]]
-        out[seg] = _inverse_cdf(cdf_rows[row], u[seg])
-    return out
-
-
 def _simulate_range(
     cfg: SimConfig, start: int, stop: int, tables: _SamplerTables | None = None
 ) -> np.ndarray:
@@ -251,42 +268,23 @@ def _simulate_range(
     if tables is None:
         tables = _SamplerTables(cfg)
     u = gate_uniforms(cfg.seed, start, stop)
-    n_gates = stop - start
 
-    m = _inverse_cdf(tables.arm_a_cdf, u[:, _SLOT_ARM_A])
-    if tables.arm_b_cdf is None:
-        n = np.zeros(n_gates, dtype=np.int64)
+    m = tables.arm_a.lookup(u[:, _SLOT_ARM_A])
+    if tables.arm_b is None:
+        n = 0
     else:
-        n = _inverse_cdf(tables.arm_b_cdf, u[:, _SLOT_ARM_B])
-    total = m + n
+        n = tables.arm_b.lookup(u[:, _SLOT_ARM_B])
     rows = tables.row_index(m, n)
-
-    kind = cfg.source.kind
-    if kind is SourceKind.INDISTINGUISHABLE:
-        out_m = _sample_rows(tables.interfering_cdf, rows, u[:, _SLOT_SPLITTER])
-    elif kind is SourceKind.MIXTURE:
-        interfere = u[:, _SLOT_BRANCH] < cfg.source.overlap
-        out_m = np.empty(n_gates, dtype=np.int64)
-        if interfere.any():
-            out_m[interfere] = _sample_rows(
-                tables.interfering_cdf, rows[interfere], u[interfere, _SLOT_SPLITTER]
-            )
-        if (~interfere).any():
-            out_m[~interfere] = _sample_rows(
-                tables.routing_cdf, rows[~interfere], u[~interfere, _SLOT_SPLITTER]
-            )
-    else:
-        out_m = _sample_rows(tables.routing_cdf, rows, u[:, _SLOT_SPLITTER])
-    out_n = total - out_m
+    if cfg.source.kind is SourceKind.MIXTURE:
+        routed = u[:, _SLOT_BRANCH] >= cfg.source.overlap
+        rows += tables.n_pairs * routed
+    out_m = tables.splitter.lookup(u[:, _SLOT_SPLITTER], rows)
+    out_n = m + n - out_m
 
     click0 = u[:, _SLOT_CLICK0] < tables.click0[out_m]
     click1 = u[:, _SLOT_CLICK1] < tables.click1[out_n]
-
-    outcomes = np.full(n_gates, Outcome.NONE, dtype=np.uint8)
-    outcomes[click0 & ~click1] = Outcome.BIT0
-    outcomes[~click0 & click1] = Outcome.BIT1
-    outcomes[click0 & click1] = Outcome.COLLISION
-    return outcomes
+    # Outcome codes are exactly click0 + 2 * click1.
+    return click0.view(np.uint8) | (click1.view(np.uint8) << 1)
 
 
 def sample_gate(cfg: SimConfig, gate_index: int) -> EventRecord:
@@ -329,7 +327,9 @@ def _click_by_thinning(eta: float, photons: int, rng: np.random.Generator) -> bo
     return bool((rng.random(photons) < eta).any())
 
 
-DEFAULT_CHUNK_GATES = 1 << 20
+# A chunk's uniforms take 4 MB at 2**16 gates (64 MB at 2**20), so its
+# temporaries stay near cache size and peak memory stays low.
+DEFAULT_CHUNK_GATES = 1 << 16
 DEFAULT_MEMORY_BUDGET_GATES = 1 << 28
 
 
@@ -354,7 +354,7 @@ def run(
         )
     tables = _SamplerTables(cfg)
     tally = EventTally(0, 0, 0, 0, 0)
-    chunks: list[np.ndarray] = []
+    kept = None if sink is not None else np.empty(cfg.n_gates, dtype=np.uint8)
     for lo in range(0, cfg.n_gates, chunk_gates):
         hi = min(lo + chunk_gates, cfg.n_gates)
         outcomes = _simulate_range(cfg, lo, hi, tables)
@@ -362,10 +362,8 @@ def run(
         if sink is not None:
             sink.write(outcomes.tobytes())
         else:
-            chunks.append(outcomes)
-    if sink is not None:
-        return tally, None
-    return tally, np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+            kept[lo:hi] = outcomes
+    return tally, kept
 
 
 def iter_records(outcomes: np.ndarray) -> Iterator[EventRecord]:

@@ -17,6 +17,8 @@ from bsqrng.mcsim import (
     ResourceLimitError,
     SimConfig,
     _click_by_thinning,
+    _GuideTable,
+    _inverse_cdf,
     _simulate_range,
     gate_uniforms,
     iter_records,
@@ -117,6 +119,63 @@ class TestTally:
         assert len(records) == 25
         assert records[7].gate_index == 7
         assert records[7].outcome == Outcome(int(outcomes[7]))
+
+
+DYADIC_EDGES = [k / 64 for k in range(64)]
+# How a padded cumsum row can end: below, at or just above 1.
+ROW_ENDS = [1.0 - 1e-15, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.0 + 4e-16]
+
+
+@st.composite
+def cdf_tables(draw):
+    """Nondecreasing rows padded with 1.0, as _SamplerTables lays them out."""
+    width = draw(st.integers(1, 12))
+    n_rows = draw(st.integers(1, 4))
+    entry = st.one_of(st.floats(0.0, 0.999), st.sampled_from(DYADIC_EDGES))
+    table = np.ones((n_rows, width))
+    for r in range(n_rows):
+        length = draw(st.integers(1, width))
+        body = sorted(draw(st.lists(entry, min_size=length - 1, max_size=length - 1)))
+        table[r, :length] = body + [draw(st.sampled_from(ROW_ENDS))]
+    return table
+
+
+def reference_lookup(table, rows, u):
+    width = table.shape[1]
+    return np.array(
+        [min(np.searchsorted(table[r], x, side="right"), width - 1) for r, x in zip(rows, u)]
+    )
+
+
+def probe_uniforms(table, n_buckets):
+    """Every bucket edge, every table entry, their neighbours, 0 and 1 - 2**-53."""
+    points = np.concatenate([np.arange(n_buckets) / n_buckets, table.ravel(), [0.0]])
+    points = np.concatenate(
+        [points, np.nextafter(points, -1.0), np.nextafter(points, 2.0), [1.0 - 2.0**-53]]
+    )
+    return np.unique(points[(points >= 0.0) & (points < 1.0)])
+
+
+class TestGuideTable:
+    @given(cdf_tables(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    def test_matches_clamped_searchsorted(self, table, extra):
+        guide = _GuideTable(table)
+        assert guide.n_buckets >= 2 * table.shape[1]
+        assert guide.n_buckets & (guide.n_buckets - 1) == 0
+        probes = np.concatenate([probe_uniforms(table, guide.n_buckets), extra])
+        rows = np.repeat(np.arange(table.shape[0]), probes.size)
+        u = np.tile(probes, table.shape[0])
+        assert np.array_equal(guide.lookup(u, rows), reference_lookup(table, rows, u))
+
+    def test_one_column_table(self):
+        guide = _GuideTable(np.array([[0.3], [1.0]]))
+        u = np.array([0.0, 0.3, 0.7, 1.0 - 2.0**-53])
+        assert np.array_equal(guide.lookup(u, np.array([0, 1, 0, 1])), np.zeros(4))
+
+    def test_scalar_row_defaults_to_first(self):
+        cdf = np.array([0.25, 0.5, 0.75, 1.0])
+        u = np.array([0.0, 0.25, np.nextafter(0.25, 0.0), 0.6, 0.75, 1.0 - 2.0**-53])
+        assert np.array_equal(_GuideTable(cdf[None, :]).lookup(u), _inverse_cdf(cdf, u))
 
 
 class TestSplitterSampling:
