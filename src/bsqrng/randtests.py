@@ -125,12 +125,16 @@ def cumulative_sums(bits, direction: str = "forward") -> float:
     x = 2.0 * b - 1.0
     if direction == "backward":
         x = x[::-1]
-    z = float(np.max(np.abs(np.cumsum(x))))
+    z = int(np.max(np.abs(np.cumsum(x))))
     sqrt_n = math.sqrt(n)
+    # Summation limits in integer arithmetic truncated toward zero, as in
+    # the NIST SP 800-22 reference code: (-n/z + 1)/4, (n/z - 1)/4, (-n/z - 3)/4.
+    q = n // z
+    top = (q - 1) // 4
     total = 1.0
-    for k in range(int(math.floor((-n / z + 1) / 4)), int(math.floor((n / z - 1) / 4)) + 1):
+    for k in range(-((q - 1) // 4), top + 1):
         total -= normal_cdf((4 * k + 1) * z / sqrt_n) - normal_cdf((4 * k - 1) * z / sqrt_n)
-    for k in range(int(math.floor((-n / z - 3) / 4)), int(math.floor((n / z - 1) / 4)) + 1):
+    for k in range(-((q + 3) // 4), top + 1):
         total += normal_cdf((4 * k + 3) * z / sqrt_n) - normal_cdf((4 * k + 1) * z / sqrt_n)
     return min(max(total, 0.0), 1.0)
 

@@ -45,7 +45,7 @@ FROZEN = {
     "block_frequency": 0.8012519569012009,
     "runs": 0.14723225536366571,
     "longest_run": 0.18059797678555792,
-    "cusum_forward": 0.4115847182525979,
+    "cusum_forward": 0.4116586191538023,
     "approximate_entropy": 0.2619611048816654,
     "serial_1": 0.8087921354109989,
     "serial_2": 0.6703200460356398,
@@ -103,6 +103,13 @@ class TestWorkedExamples:
         p = cumulative_sums("1011010111", "forward")
         assert p == pytest.approx(FROZEN["cusum_forward"], abs=1e-9)
         assert p == pytest.approx(PUBLISHED["cusum_forward"], abs=1e-4)
+
+    def test_cumulative_sums_nist_summation_limits(self):
+        # SP 800-22 section 2.13.4: n = 10, z = 4. The reference code's integer
+        # division keeps k = 0 in the first sum and k = -1, 0 in the second;
+        # floor on floats would add k = -1 and k = -2 as well.
+        p = cumulative_sums("1011010111", "forward")
+        assert p == pytest.approx(PUBLISHED["cusum_forward"], abs=5e-7)
 
     def test_approximate_entropy(self):
         p = approximate_entropy("0100110101", m=3)
