@@ -221,8 +221,8 @@ class _SamplerTables:
     """Precomputed inverse-CDF tables for one configuration.
 
     Splitter outcome rows are laid out per input pair (m, n); a mixture
-    stacks the routed rows below the interfering ones. The tables are tiny
-    and amortize over millions of gates.
+    stacks the routed rows below the interfering ones. The tables are built
+    once per run and amortize over millions of gates.
     """
 
     def __init__(self, cfg: SimConfig):

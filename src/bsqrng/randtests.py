@@ -132,7 +132,7 @@ def cumulative_sums(bits, direction: str = "forward") -> float:
     q = n // z
     top = (q - 1) // 4
     total = 1.0
-    for k in range(-((q - 1) // 4), top + 1):
+    for k in range(-top, top + 1):
         total -= normal_cdf((4 * k + 1) * z / sqrt_n) - normal_cdf((4 * k - 1) * z / sqrt_n)
     for k in range(-((q + 3) // 4), top + 1):
         total += normal_cdf((4 * k + 3) * z / sqrt_n) - normal_cdf((4 * k + 1) * z / sqrt_n)
