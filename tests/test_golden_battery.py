@@ -1,0 +1,82 @@
+"""Golden digests of battery reports: every p-value pinned bit for bit.
+
+Each digest is the SHA-256 of ``run_battery(...).to_csv()`` for one seeded
+input. The CSV writes every p-value with ``repr``, so a kernel rewrite that
+moves any p-value by one ulp, or flips a pass flag, changes a digest. The
+block sizes 1 000, 20 000 and 750 000 select the three longest-run tables
+(sub-blocks of 8, 128 and 10 000 bits).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from bsqrng.cli import main
+from bsqrng.postproc import BitStream
+from bsqrng.randtests import run_battery
+
+SEED = 20160817
+
+
+def _uniform(n: int) -> np.ndarray:
+    return np.random.Generator(np.random.PCG64(SEED)).integers(0, 2, n, dtype=np.uint8)
+
+
+def _biased(n: int, p_one: float) -> np.ndarray:
+    rng = np.random.Generator(np.random.PCG64(SEED + 1))
+    return (rng.random(n) < p_one).astype(np.uint8)
+
+
+# name -> (bits, block size, SHA-256 of the report CSV)
+GOLDEN_REPORTS = {
+    # 537 trailing bits beyond the last block are dropped.
+    "uniform-1000": (
+        lambda: _uniform(8 * 1_000 + 537), 1_000,
+        "b94f77b712b696da5e0508834f72644793ab9e3301e2739aba64ce59f6e01460",
+    ),
+    "uniform-20000": (
+        lambda: _uniform(4 * 20_000), 20_000,
+        "b389fe9f56e0a243c0a951db2275e4728e94dd1490c4e7a6f76d0c53c66d15ac",
+    ),
+    "uniform-750000": (
+        lambda: _uniform(750_000), 750_000,
+        "d0e46c3a78f5a5b8f318adaa370241ffa0fcb2da98261da4042a977a8e6c244b",
+    ),
+    "biased-0.45-20000": (
+        lambda: _biased(3 * 20_000, 0.45), 20_000,
+        "8769b83e9dac4d9b16e7d043e9ac6daf0a5df87f1f281363b5a093fa5eb076d2",
+    ),
+    "zeros-1000": (
+        lambda: np.zeros(2 * 1_000, dtype=np.uint8), 1_000,
+        "cfbbadde1762afeb2c7bee2d0daa02ba4d83184bfc2222f5d49a12aa4a42b64c",
+    ),
+    "ones-1000": (
+        lambda: np.ones(2 * 1_000, dtype=np.uint8), 1_000,
+        "0d40bc594ad4b3ed549ca174fd5e03724f908ccfaff4b164f9415df62d9d09ba",
+    ),
+}
+
+# `bsqrng test --format csv` on a binary bit file of 3 blocks and 4 321 bits more.
+GOLDEN_TEST_CSV = "69e738a87843d82a6dd1996bcb254f6e067b0c07ce31c3c37b8d4d89037edfc5"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_REPORTS))
+def test_battery_report_digest(name):
+    make_bits, block_size, expected = GOLDEN_REPORTS[name]
+    report = run_battery(make_bits(), block_size)
+    assert _digest(report.to_csv().encode()) == expected
+
+
+def test_cli_test_csv_digest(tmp_path, capsys):
+    bits_path, report_path = tmp_path / "uniform.bsrb", tmp_path / "report.csv"
+    BitStream.from_bits(_uniform(3 * 20_000 + 4_321)).write(bits_path)
+    argv = ["test", str(bits_path), "--block-size", "20000", "--alpha", "0.05",
+            "--format", "csv", "--out", str(report_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _digest(report_path.read_bytes()) == GOLDEN_TEST_CSV
