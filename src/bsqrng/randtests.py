@@ -24,6 +24,8 @@ class InsufficientDataError(ValueError):
 
 
 def _as_bits(bits) -> np.ndarray:
+    if isinstance(bits, _Block):
+        return bits.bits
     if isinstance(bits, BitStream):
         return bits.bits()
     if isinstance(bits, str):
@@ -94,24 +96,26 @@ def longest_run_of_ones(bits) -> float:
     for threshold, block_len, low, pi_table in reversed(_LONGEST_RUN_TABLES):
         if n >= threshold:
             break
-    n_blocks = n // block_len
+    longest = _longest_runs(b, block_len)
     n_cats = len(pi_table)
-    counts = np.zeros(n_cats)
-    blocks = b[: n_blocks * block_len].reshape(n_blocks, block_len)
-    for block in blocks:
-        counts[int(np.clip(_longest_ones(block), low, low + n_cats - 1)) - low] += 1
-    expected = n_blocks * np.asarray(pi_table)
+    counts = np.bincount(np.clip(longest, low, low + n_cats - 1) - low, minlength=n_cats)
+    expected = len(longest) * np.asarray(pi_table)
     chi_sq = float(((counts - expected) ** 2 / expected).sum())
     return gammainc_upper((n_cats - 1) / 2.0, chi_sq / 2.0)
 
 
-def _longest_ones(block: np.ndarray) -> int:
-    if not block.any():
-        return 0
-    # lengths of 1-runs via boundaries of the padded sequence
-    padded = np.concatenate(([0], block, [0]))
-    edges = np.flatnonzero(np.diff(padded))
-    return int((edges[1::2] - edges[::2]).max())
+def _longest_runs(b: np.ndarray, block_len: int) -> np.ndarray:
+    """Longest 1-run of each whole sub-block of ``block_len`` bits."""
+    n_blocks = len(b) // block_len
+    # A zero column after each sub-block ends every run at its sub-block's
+    # edge, so one run-length pass over the flattened rows serves all of them.
+    rows = np.zeros((n_blocks, block_len + 1), dtype=np.int8)
+    rows[:, :block_len] = b[: n_blocks * block_len].reshape(n_blocks, block_len)
+    edges = np.diff(rows.ravel(), prepend=np.int8(0))
+    starts = np.flatnonzero(edges == 1)
+    longest = np.zeros(n_blocks, dtype=np.int64)
+    np.maximum.at(longest, starts // (block_len + 1), np.flatnonzero(edges == -1) - starts)
+    return longest
 
 
 def cumulative_sums(bits, direction: str = "forward") -> float:
@@ -131,11 +135,19 @@ def cumulative_sums(bits, direction: str = "forward") -> float:
     # the NIST SP 800-22 reference code: (-n/z + 1)/4, (n/z - 1)/4, (-n/z - 3)/4.
     q = n // z
     top = (q - 1) // 4
+    cdf: dict[int, float] = {}
+
+    def phi(j: int) -> float:
+        # normal_cdf(j * z / sqrt_n); both sums visit most odd j twice
+        if j not in cdf:
+            cdf[j] = normal_cdf(j * z / sqrt_n)
+        return cdf[j]
+
     total = 1.0
     for k in range(-top, top + 1):
-        total -= normal_cdf((4 * k + 1) * z / sqrt_n) - normal_cdf((4 * k - 1) * z / sqrt_n)
+        total -= phi(4 * k + 1) - phi(4 * k - 1)
     for k in range(-((q + 3) // 4), top + 1):
-        total += normal_cdf((4 * k + 3) * z / sqrt_n) - normal_cdf((4 * k + 1) * z / sqrt_n)
+        total += phi(4 * k + 3) - phi(4 * k + 1)
     return min(max(total, 0.0), 1.0)
 
 
@@ -147,6 +159,30 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     for i in range(m):
         value = (value << 1) | extended[i : i + n]
     return np.bincount(value, minlength=2**m)
+
+
+def _counts(bits, b: np.ndarray, m: int) -> np.ndarray:
+    """Circular m-bit pattern counts of ``b``, shared when ``bits`` is a ``_Block``."""
+    return bits.counts[m] if isinstance(bits, _Block) else _pattern_counts(b, m)
+
+
+class _Block:
+    """One validated battery block and the pattern counts its tests share.
+
+    ``evaluate_block`` hands this to each public test function, so the bits
+    are checked once per battery run and counted once per block. Counts of
+    every length up to ``max_m`` come from the ``max_m``-bit counts: the
+    circular (m-1)-bit pattern q occurs exactly as often as the m-bit
+    patterns 2q and 2q + 1 together.
+    """
+
+    def __init__(self, bits: np.ndarray, max_m: int):
+        self.bits = bits
+        counts = _pattern_counts(bits, max_m)
+        self.counts = {max_m: counts}
+        for m in range(max_m - 1, 0, -1):
+            counts = counts.reshape(-1, 2).sum(axis=1)
+            self.counts[m] = counts
 
 
 def approximate_entropy(bits, m: int = 4) -> float:
@@ -161,7 +197,7 @@ def approximate_entropy(bits, m: int = 4) -> float:
         )
 
     def phi(length: int) -> float:
-        freq = _pattern_counts(b, length) / n
+        freq = _counts(bits, b, length) / n
         freq = freq[freq > 0]
         return float((freq * np.log(freq)).sum())
 
@@ -184,7 +220,7 @@ def serial(bits, m: int = 5) -> tuple[float, float]:
     def psi_sq(length: int) -> float:
         if length < 1:
             return 0.0
-        counts = _pattern_counts(b, length).astype(float)
+        counts = _counts(bits, b, length).astype(float)
         return (2.0**length / n) * float((counts**2).sum()) - n
 
     delta1 = psi_sq(m) - psi_sq(m - 1)
@@ -294,7 +330,8 @@ class TestReport:
 
 
 def evaluate_block(block: np.ndarray, params: BatteryParams) -> dict[str, float]:
-    """All component p-values for one block of bits."""
+    """All component p-values for one block of bits already checked by ``_as_bits``."""
+    block = _Block(block, max(params.serial_m, params.approximate_entropy_m + 1))
     p_serial_1, p_serial_2 = serial(block, params.serial_m)
     return {
         "monobit": frequency_monobit(block),
@@ -338,14 +375,26 @@ def parse_report_csv(text: str) -> TestReport:
     """Rebuild a report from its CSV export.
 
     Block size and significance are not stored in the CSV; the recorded pass
-    flags are taken as authoritative.
+    flags are taken as authoritative. The CSV must hold exactly one row per
+    component and block, for at least one block.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError("not a battery report CSV (unexpected header)")
-    results = []
+    results = {}
     for ln in lines[1:]:
-        test, block, p_value, passed = ln.split(",")
-        results.append(TestResult(test, int(block), float(p_value), passed == "1"))
-    n_blocks = max((r.block for r in results), default=-1) + 1
-    return TestReport(0, n_blocks, 0.01, tuple(results))
+        test, block_field, p_value, passed = ln.split(",")
+        block = int(block_field)
+        if test not in COMPONENTS or block < 0:
+            raise ValueError(f"battery report CSV: unexpected row {ln!r}")
+        if (test, block) in results:
+            raise ValueError(f"battery report CSV: duplicate row for {test} block {block}")
+        results[(test, block)] = TestResult(test, block, float(p_value), passed == "1")
+    if not results:
+        raise ValueError("battery report CSV holds no result rows")
+    n_blocks = max(blk for _, blk in results) + 1
+    for blk in range(n_blocks):
+        for name in COMPONENTS:
+            if (name, blk) not in results:
+                raise ValueError(f"battery report CSV: no row for {name} block {blk}")
+    return TestReport(0, n_blocks, 0.01, tuple(results.values()))

@@ -216,6 +216,19 @@ class TestReportCommand:
         code, _, err = run_cli(capsys, "report", str(path))
         assert code == 1 and "unrecognized" in err
 
+    def test_rejects_incomplete_battery_csv(self, capsys, tmp_path):
+        path = tmp_path / "partial.csv"
+        path.write_text("test,block,p_value,pass\nmonobit,0,0.5,1\nruns,0,0.5,1\n")
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "block_frequency block 0" in err
+
+    def test_rejects_header_only_battery_csv(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("test,block,p_value,pass\n")
+        code, _, err = run_cli(capsys, "report", str(path))
+        assert code == 1 and err.startswith("error:") and "no result rows" in err
+
 
 class TestExitCodes:
     def test_runtime_errors_map_to_two(self, capsys, tmp_path, monkeypatch):

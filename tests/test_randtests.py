@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsqrng.postproc import BitStream
@@ -11,6 +11,9 @@ from bsqrng.randtests import (
     NOT_RUN,
     BatteryParams,
     InsufficientDataError,
+    _Block,
+    _longest_runs,
+    _pattern_counts,
     approximate_entropy,
     block_frequency,
     cumulative_sums,
@@ -173,6 +176,42 @@ class TestProperties:
         assert 0.0 <= frequency_monobit(stream) <= 1.0
 
 
+def loop_longest_runs(bits, block_len):
+    """Longest 1-run of each whole sub-block, one bit at a time."""
+    maxima = []
+    for start in range(0, len(bits) - block_len + 1, block_len):
+        best = current = 0
+        for bit in bits[start : start + block_len]:
+            current = current + 1 if bit else 0
+            best = max(best, current)
+        maxima.append(best)
+    return maxima
+
+
+# Runs of random lengths, so that long runs cross sub-block edges.
+run_lengths = st.lists(st.integers(1, 40), min_size=1, max_size=30)
+
+
+class TestVectorizedKernels:
+    @given(run_lengths, st.booleans(), st.integers(1, 24))
+    @example([8, 8], True, 8)  # two all-one sub-blocks must not merge into 16
+    @example([3, 8, 5], False, 8)  # a zero sub-block between two partial ones
+    @example([13, 6, 1], True, 8)  # a run crossing an edge, then a partial tail
+    def test_longest_runs_match_loop(self, lengths, first_bit, block_len):
+        bits = np.concatenate([
+            np.full(length, (i % 2 == 0) == first_bit, dtype=np.uint8)
+            for i, length in enumerate(lengths)
+        ])
+        assert _longest_runs(bits, block_len).tolist() == loop_longest_runs(bits, block_len)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 400))
+    def test_derived_pattern_counts_match_direct(self, seed, n):
+        bits = ideal_bits(n, seed)
+        shared = _Block(bits, 5)
+        for m in (5, 4, 3, 2, 1):
+            assert np.array_equal(shared.counts[m], _pattern_counts(bits, m)), m
+
+
 class TestPreconditions:
     def test_monobit_minimum_length(self):
         with pytest.raises(InsufficientDataError):
@@ -252,6 +291,16 @@ class TestBattery:
     def test_csv_rejects_other_content(self):
         with pytest.raises(ValueError):
             parse_report_csv("mu_eta,source\n1,2\n")
+
+    def test_csv_rejects_duplicate_and_unknown_rows(self):
+        csv = run_battery(ideal_bits(2048, seed=8), 2048).to_csv()
+        first_row = csv.splitlines()[1]
+        with pytest.raises(ValueError, match="duplicate row for monobit block 0"):
+            parse_report_csv(csv + first_row + "\n")
+        with pytest.raises(ValueError, match="unexpected row"):
+            parse_report_csv(csv + "rank,0,0.5,1\n")
+        with pytest.raises(ValueError, match="no row for monobit block 1"):
+            parse_report_csv(csv + "serial_2,1,0.5,1\n")
 
     def test_custom_params(self):
         params = BatteryParams(block_frequency_len=64, approximate_entropy_m=3, serial_m=4)
