@@ -195,7 +195,7 @@ run_lengths = st.lists(st.integers(1, 40), min_size=1, max_size=30)
 class TestVectorizedKernels:
     @given(run_lengths, st.booleans(), st.integers(1, 24))
     @example([8, 8], True, 8)  # two all-one sub-blocks must not merge into 16
-    @example([3, 8, 5], False, 8)  # a zero sub-block between two partial ones
+    @example([4, 12, 8], True, 8)  # an all-zero sub-block between two others
     @example([13, 6, 1], True, 8)  # a run crossing an edge, then a partial tail
     def test_longest_runs_match_loop(self, lengths, first_bit, block_len):
         bits = np.concatenate([
