@@ -203,15 +203,7 @@ def generate(
     stats = stream_stats(stream)
     summary = {
         "out": str(out_path),
-        "n_gates": str(tally.n_gates),
-        "bit0": str(tally.bit0),
-        "bit1": str(tally.bit1),
-        "collision": str(tally.collision),
-        "none": str(tally.none),
-        "p_gen": f"{tally.p_gen:.9g}",
-        "p_gen_stderr": f"{tally.p_gen_stderr():.9g}",
-        "p_disc": f"{tally.p_disc:.9g}",
-        "p_disc_stderr": f"{tally.p_disc_stderr():.9g}",
+        **tally.summary(),
         "raw_bits": str(raw_length),
         "output_bits": str(stream.length),
         "raw_throughput_bits_per_s": f"{throughput(tally.p_gen, cfg.gate_rate):.9g}",

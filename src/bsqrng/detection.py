@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fock import (
-    DEFAULT_TRUNCATION,
     JointPhotonDistribution,
     SourceModel,
     TruncationPolicy,
@@ -21,22 +20,15 @@ from .fock import (
 
 @dataclass(frozen=True)
 class DetectorPair:
-    """Overall efficiencies of the bit-0 and bit-1 channels.
-
-    ``dark_count_prob`` is a reserved per-gate dark-count hook; the outcome
-    model currently neglects dark counts, so only 0 is accepted.
-    """
+    """Overall efficiencies of the bit-0 and bit-1 channels (no dark counts)."""
 
     eta0: float = 1.0
     eta1: float = 1.0
-    dark_count_prob: float = 0.0
 
     def __post_init__(self):
         for name, eta in (("eta0", self.eta0), ("eta1", self.eta1)):
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {eta}")
-        if self.dark_count_prob != 0.0:
-            raise NotImplementedError("per-gate dark counts are not modeled yet")
 
 
 @dataclass(frozen=True)
@@ -147,13 +139,3 @@ def throughput(p_gen: float, gate_rate: float) -> float:
     if gate_rate <= 0.0:
         raise ValueError(f"gate rate must be positive, got {gate_rate}")
     return p_gen * gate_rate
-
-
-def analytic_outcomes(
-    source: SourceModel,
-    mu: float,
-    det: DetectorPair = DetectorPair(),
-    policy: TruncationPolicy = DEFAULT_TRUNCATION,
-) -> OutcomeProbabilities:
-    """Convenience wrapper: distribution plus detection in one call."""
-    return outcome_probabilities(output_joint_distribution(source, mu, policy), det)

@@ -6,10 +6,10 @@ bit 1, a discarded collision, or no click.
 
 Randomness comes from a counter-based Philox stream: every gate owns a fixed
 budget of 8 uniforms (two Philox blocks), so each gate's draws are a pure
-function of (seed, gate_index). Runs can therefore be chunked or partitioned
-across workers by gate ranges and still reproduce the serial outcome
-sequence bit for bit. This internal generator is simulation plumbing only;
-the randomness being modeled is the physics.
+function of (seed, gate_index). A run can therefore be simulated in chunks
+of gates and still reproduce the serial outcome sequence bit for bit. This
+internal generator is simulation plumbing only; the randomness being modeled
+is the physics.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -45,11 +44,11 @@ _PHOTON_TAIL = 1e-15
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a run would buffer more gates than allowed without a sink."""
+    """Raised when a run would hold more than ``MAX_GATES`` outcomes in memory."""
 
 
 class Outcome(IntEnum):
-    """Per-gate classification; values match the streamed byte format."""
+    """Per-gate classification; values are the codes of a run's outcome array."""
 
     NONE = 0x00
     BIT0 = 0x01
@@ -75,12 +74,6 @@ class SimConfig:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.gate_rate <= 0.0:
             raise ValueError(f"gate_rate must be positive, got {self.gate_rate}")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    gate_index: int
-    outcome: Outcome
 
 
 @dataclass(frozen=True)
@@ -131,19 +124,22 @@ class EventTally:
     def p_disc_stderr(self) -> float:
         return math.sqrt(self.p_disc * (1.0 - self.p_disc) / self.n_gates)
 
+    def summary(self) -> dict[str, str]:
+        """The counts and rates as formatted key=value fields, in report order."""
+        return {
+            "n_gates": str(self.n_gates),
+            "bit0": str(self.bit0),
+            "bit1": str(self.bit1),
+            "collision": str(self.collision),
+            "none": str(self.none),
+            "p_gen": f"{self.p_gen:.9g}",
+            "p_gen_stderr": f"{self.p_gen_stderr():.9g}",
+            "p_disc": f"{self.p_disc:.9g}",
+            "p_disc_stderr": f"{self.p_disc_stderr():.9g}",
+        }
+
     def to_text(self) -> str:
-        lines = [
-            f"n_gates={self.n_gates}",
-            f"bit0={self.bit0}",
-            f"bit1={self.bit1}",
-            f"collision={self.collision}",
-            f"none={self.none}",
-            f"p_gen={self.p_gen:.9g}",
-            f"p_gen_stderr={self.p_gen_stderr():.9g}",
-            f"p_disc={self.p_disc:.9g}",
-            f"p_disc_stderr={self.p_disc_stderr():.9g}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key}={value}\n" for key, value in self.summary().items())
 
 
 def gate_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
@@ -287,12 +283,11 @@ def _simulate_range(
     return click0.view(np.uint8) | (click1.view(np.uint8) << 1)
 
 
-def sample_gate(cfg: SimConfig, gate_index: int) -> EventRecord:
+def sample_gate(cfg: SimConfig, gate_index: int) -> Outcome:
     """Classify a single gate; identical to the matching entry of a full run."""
     if not 0 <= gate_index < cfg.n_gates:
         raise ValueError(f"gate_index {gate_index} outside [0, {cfg.n_gates})")
-    outcome = _simulate_range(cfg, gate_index, gate_index + 1)[0]
-    return EventRecord(gate_index, Outcome(int(outcome)))
+    return Outcome(int(_simulate_range(cfg, gate_index, gate_index + 1)[0]))
 
 
 def sample_bs_outcome(
@@ -330,43 +325,29 @@ def _click_by_thinning(eta: float, photons: int, rng: np.random.Generator) -> bo
 # A chunk's uniforms take 4 MB at 2**16 gates (64 MB at 2**20), so its
 # temporaries stay near cache size and peak memory stays low.
 DEFAULT_CHUNK_GATES = 1 << 16
-DEFAULT_MEMORY_BUDGET_GATES = 1 << 28
+# The outcome array takes one byte per gate: 256 MB at the limit.
+MAX_GATES = 1 << 28
 
 
 def run(
-    cfg: SimConfig,
-    *,
-    sink: BinaryIO | None = None,
-    chunk_gates: int = DEFAULT_CHUNK_GATES,
-    memory_budget_gates: int = DEFAULT_MEMORY_BUDGET_GATES,
-) -> tuple[EventTally, np.ndarray | None]:
+    cfg: SimConfig, *, chunk_gates: int = DEFAULT_CHUNK_GATES
+) -> tuple[EventTally, np.ndarray]:
     """Simulate all gates of ``cfg``.
 
     Returns the tally and the per-gate outcome array (one code per gate,
-    indexed by gate). With ``sink`` set, outcome bytes are streamed there
-    instead and the array is not kept. Without a sink, runs longer than
-    ``memory_budget_gates`` are refused.
+    indexed by gate). Runs longer than ``MAX_GATES`` are refused before
+    anything is allocated.
     """
-    if sink is None and cfg.n_gates > memory_budget_gates:
+    if cfg.n_gates > MAX_GATES:
         raise ResourceLimitError(
-            f"{cfg.n_gates} gates exceed the in-memory budget of "
-            f"{memory_budget_gates}; stream to a sink instead"
+            f"{cfg.n_gates} gates exceed the limit of {MAX_GATES} gates per run"
         )
     tables = _SamplerTables(cfg)
     tally = EventTally(0, 0, 0, 0, 0)
-    kept = None if sink is not None else np.empty(cfg.n_gates, dtype=np.uint8)
+    outcomes = np.empty(cfg.n_gates, dtype=np.uint8)
     for lo in range(0, cfg.n_gates, chunk_gates):
         hi = min(lo + chunk_gates, cfg.n_gates)
-        outcomes = _simulate_range(cfg, lo, hi, tables)
-        tally = tally + EventTally.from_outcomes(outcomes)
-        if sink is not None:
-            sink.write(outcomes.tobytes())
-        else:
-            kept[lo:hi] = outcomes
-    return tally, kept
-
-
-def iter_records(outcomes: np.ndarray) -> Iterator[EventRecord]:
-    """View a run's outcome array as per-gate event records."""
-    for i, code in enumerate(outcomes):
-        yield EventRecord(i, Outcome(int(code)))
+        chunk = _simulate_range(cfg, lo, hi, tables)
+        tally = tally + EventTally.from_outcomes(chunk)
+        outcomes[lo:hi] = chunk
+    return tally, outcomes

@@ -12,11 +12,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .mcsim import EventRecord, Outcome
+from .mcsim import Outcome
 
 _MAGIC = b"BSRB"
 _VERSION = 1
@@ -92,17 +92,9 @@ class BitStream:
 
 
 def events_to_bits(
-    events: np.ndarray | Iterable[EventRecord | int],
-    provenance: Mapping[str, str] | None = None,
+    codes: np.ndarray, provenance: Mapping[str, str] | None = None
 ) -> BitStream:
     """Keep the valid gates, in order: bit-0 clicks give 0, bit-1 clicks give 1."""
-    if isinstance(events, np.ndarray):
-        codes = events
-    else:
-        codes = np.array(
-            [e.outcome if isinstance(e, EventRecord) else int(e) for e in events],
-            dtype=np.uint8,
-        )
     valid = codes[(codes == Outcome.BIT0) | (codes == Outcome.BIT1)]
     return BitStream.from_bits(valid - Outcome.BIT0, provenance)
 
@@ -123,19 +115,6 @@ def von_neumann(stream: BitStream) -> BitStream:
     provenance["raw_length"] = str(stream.length)
     return BitStream.from_bits(out, provenance)
 
-
-#: Registry of available debiasing methods.
-DEBIASERS: dict[str, Callable[[BitStream], BitStream]] = {"von-neumann": von_neumann}
-
-
-def debias(stream: BitStream, method: str = "von-neumann") -> BitStream:
-    try:
-        fn = DEBIASERS[method]
-    except KeyError:
-        raise ValueError(
-            f"unknown debiaser {method!r}; available: {sorted(DEBIASERS)}"
-        ) from None
-    return fn(stream)
 
 
 @dataclass(frozen=True)

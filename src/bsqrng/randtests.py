@@ -376,20 +376,29 @@ def parse_report_csv(text: str) -> TestReport:
 
     Block size and significance are not stored in the CSV; the recorded pass
     flags are taken as authoritative. The CSV must hold exactly one row per
-    component and block, for at least one block.
+    component and block, for at least one block; a row has four fields, a
+    p-value in [0, 1] and a pass flag of 0 or 1.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError("not a battery report CSV (unexpected header)")
     results = {}
     for ln in lines[1:]:
-        test, block_field, p_value, passed = ln.split(",")
-        block = int(block_field)
-        if test not in COMPONENTS or block < 0:
+        try:
+            test, block_field, p_field, passed = ln.split(",")
+            block, p_value = int(block_field), float(p_field)
+        except ValueError:
+            raise ValueError(f"battery report CSV: malformed row {ln!r}") from None
+        if (
+            test not in COMPONENTS
+            or block < 0
+            or not 0.0 <= p_value <= 1.0
+            or passed not in ("0", "1")
+        ):
             raise ValueError(f"battery report CSV: unexpected row {ln!r}")
         if (test, block) in results:
             raise ValueError(f"battery report CSV: duplicate row for {test} block {block}")
-        results[(test, block)] = TestResult(test, block, float(p_value), passed == "1")
+        results[(test, block)] = TestResult(test, block, p_value, passed == "1")
     if not results:
         raise ValueError("battery report CSV holds no result rows")
     n_blocks = max(blk for _, blk in results) + 1

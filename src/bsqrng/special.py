@@ -1,8 +1,8 @@
 """Scalar special functions used by the statistical tests and photon statistics.
 
 Self-contained double-precision implementations: the complementary error
-function, the regularized incomplete gamma functions, the normal CDF and the
-Poisson CDF. Accuracy is a few ulps over the ranges exercised here; the test
+function, the regularized upper incomplete gamma function, the normal CDF
+and the Poisson CDF. Accuracy is a few ulps over the ranges exercised here; the test
 suite pins 1e-10 relative agreement against an independent reference.
 """
 
@@ -31,10 +31,6 @@ def erfc(x: float) -> float:
         # erfc(27) < 5e-319: below double underflow
         return 0.0
     return _erfc_continued_fraction(x)
-
-
-def erf(x: float) -> float:
-    return 1.0 - erfc(x)
 
 
 def _erf_series(x: float) -> float:
@@ -72,16 +68,6 @@ def _erfc_continued_fraction(x: float) -> float:
         if abs(delta - 1.0) < _EPS:
             break
     return math.exp(-x * x) / (f * _SQRT_PI)
-
-
-def gammainc_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    _check_gamma_args(a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_continued_fraction(a, x)
 
 
 def gammainc_upper(a: float, x: float) -> float:

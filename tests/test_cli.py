@@ -229,6 +229,25 @@ class TestReportCommand:
         code, _, err = run_cli(capsys, "report", str(path))
         assert code == 1 and err.startswith("error:") and "no result rows" in err
 
+    @pytest.mark.parametrize(
+        "bad_row",
+        ["runs,0,0.5,yes", "runs,0,7.5,1", "runs,0,nan,1", "runs,0,-0.25,0",
+         "runs,0,0.5", "runs,0,0.5,1,1", "runs,x,0.5,1"],
+    )
+    def test_rejects_malformed_battery_row(self, capsys, tmp_path, bad_row):
+        bits = tmp_path / "r.txt"
+        bits.write_text("01" * 2048)
+        report_path = tmp_path / "report.csv"
+        run_cli(capsys, "test", str(bits), "--block-size", "2048",
+                "--out", str(report_path))
+        lines = report_path.read_text().splitlines()
+        runs_row = next(i for i, ln in enumerate(lines) if ln.startswith("runs,0,"))
+        lines[runs_row] = bad_row
+        report_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "report", str(report_path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and repr(bad_row) in err
+
 
 class TestExitCodes:
     def test_runtime_errors_map_to_two(self, capsys, tmp_path, monkeypatch):
@@ -244,6 +263,16 @@ class TestExitCodes:
             "--out", str(tmp_path / "x.bits"),
         )
         assert code == 2 and "budget" in err
+
+    def test_gate_limit_maps_to_two(self, capsys, tmp_path):
+        out = tmp_path / "x.bits"
+        code, stdout, err = run_cli(
+            capsys, "generate", "--gates", "268435457", "--out", str(out)
+        )
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and "268435456" in err
+        assert "sink" not in err
+        assert not out.exists()
 
     def test_usage_errors_map_to_one(self, capsys):
         with pytest.raises(SystemExit) as info:

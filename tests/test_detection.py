@@ -193,10 +193,6 @@ class TestOutcomeProbabilities:
         with pytest.raises(ValueError):
             DetectorPair(0.5, 1.1)
 
-    def test_dark_count_hook_is_reserved(self):
-        with pytest.raises(NotImplementedError):
-            DetectorPair(0.5, 0.5, dark_count_prob=1e-5)
-
 
 class TestFoldingEquivalence:
     def test_identity_at_unit_efficiency(self):

@@ -1,7 +1,7 @@
 """Simulator determinism, stream partitioning and agreement with the analytics."""
 
-import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bsqrng.detection import DetectorPair, outcome_probabilities
 from bsqrng.fock import SourceModel, TruncationPolicy, output_joint_distribution
 from bsqrng.mcsim import (
-    EventRecord,
+    MAX_GATES,
     EventTally,
     Outcome,
     ResourceLimitError,
@@ -21,7 +21,6 @@ from bsqrng.mcsim import (
     _inverse_cdf,
     _simulate_range,
     gate_uniforms,
-    iter_records,
     run,
     sample_bs_outcome,
     sample_gate,
@@ -83,8 +82,9 @@ class TestDeterminism:
         cfg = make_cfg(n_gates=200)
         _, outcomes = run(cfg)
         for i in (0, 1, 57, 199):
-            record = sample_gate(cfg, i)
-            assert record == EventRecord(i, Outcome(int(outcomes[i])))
+            outcome = sample_gate(cfg, i)
+            assert isinstance(outcome, Outcome)
+            assert outcome == Outcome(int(outcomes[i]))
         with pytest.raises(ValueError):
             sample_gate(cfg, 200)
 
@@ -112,13 +112,6 @@ class TestTally:
         text = tally.to_text()
         assert "n_gates=100" in text
         assert "p_gen=" in text and "p_disc_stderr=" in text
-
-    def test_iter_records(self):
-        _, outcomes = run(make_cfg(n_gates=25))
-        records = list(iter_records(outcomes))
-        assert len(records) == 25
-        assert records[7].gate_index == 7
-        assert records[7].outcome == Outcome(int(outcomes[7]))
 
 
 DYADIC_EDGES = [k / 64 for k in range(64)]
@@ -291,27 +284,29 @@ class TestAgreementWithAnalytics:
 
 
 class TestRunInterface:
-    def test_sink_streams_same_bytes(self):
-        cfg = make_cfg(n_gates=3000)
-        _, outcomes = run(cfg)
-        sink = io.BytesIO()
-        tally, none = run(cfg, sink=sink, chunk_gates=640)
-        assert none is None
-        assert sink.getvalue() == outcomes.tobytes()
-        assert tally == EventTally.from_outcomes(outcomes)
-
     def test_outcome_codes_match_wire_format(self):
         assert Outcome.NONE == 0x00
         assert Outcome.BIT0 == 0x01
         assert Outcome.BIT1 == 0x02
         assert Outcome.COLLISION == 0x03
 
-    def test_memory_budget(self):
-        cfg = make_cfg(n_gates=2000)
-        with pytest.raises(ResourceLimitError):
-            run(cfg, memory_budget_gates=1000)
-        tally, none = run(cfg, sink=io.BytesIO(), memory_budget_gates=1000)
-        assert none is None and tally.n_gates == 2000
+    def test_memory_budget(self, monkeypatch):
+        import bsqrng.mcsim as mcsim
+
+        def no_tables(cfg):
+            raise AssertionError("tables built before the gate limit was checked")
+
+        monkeypatch.setattr(mcsim, "_SamplerTables", no_tables)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=str(MAX_GATES)) as info:
+                run(make_cfg(n_gates=MAX_GATES + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The outcome array alone would take 256 MB.
+        assert peak < 1 << 20
+        assert "sink" not in str(info.value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

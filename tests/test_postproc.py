@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bsqrng.mcsim import EventRecord, Outcome
+from bsqrng.mcsim import Outcome
 from bsqrng.postproc import (
     BitStream,
-    debias,
     events_to_bits,
     stream_stats,
     von_neumann,
@@ -44,15 +43,6 @@ class TestEventsToBits:
         assert stream.length == 0
         assert stream.data == b""
 
-    def test_accepts_event_records(self):
-        records = [
-            EventRecord(0, Outcome.BIT1),
-            EventRecord(1, Outcome.NONE),
-            EventRecord(2, Outcome.BIT0),
-            EventRecord(3, Outcome.BIT1),
-        ]
-        assert events_to_bits(records).to_ascii() == "101"
-
     def test_provenance_is_kept(self):
         stream = events_to_bits(np.array([1, 2], dtype=np.uint8), {"seed": "5"})
         assert stream.provenance["seed"] == "5"
@@ -78,12 +68,6 @@ class TestVonNeumann:
         assert out.provenance["debiased"] == "von-neumann"
         assert out.provenance["raw_length"] == "4"
         assert out.provenance["seed"] == "3"
-
-    def test_registry_dispatch(self):
-        stream = BitStream.from_ascii("0110")
-        assert debias(stream).to_ascii() == "01"
-        with pytest.raises(ValueError):
-            debias(stream, "sha-whitening")
 
     def test_output_length_distribution(self):
         # Binomial(n/2, 2p(1-p)) oracle for independent input bits
