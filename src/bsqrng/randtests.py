@@ -10,6 +10,7 @@ as not run.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,10 @@ def _as_bits(bits) -> np.ndarray:
     if isinstance(bits, BitStream):
         return bits.bits()
     if isinstance(bits, str):
-        return np.array([int(c) for c in bits], dtype=np.uint8)
+        digits = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
+        if digits.size and digits.max() > 1:
+            raise ValueError("bit string may contain only '0' and '1'")
+        return digits
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("bit input must be one-dimensional")
@@ -126,38 +130,60 @@ def cumulative_sums(bits, direction: str = "forward") -> float:
         raise InsufficientDataError(f"cumulative sums needs at least 2 bits, got {n}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    x = 2.0 * b - 1.0
-    if direction == "backward":
-        x = x[::-1]
-    z = int(np.max(np.abs(np.cumsum(x))))
-    sqrt_n = math.sqrt(n)
+    if isinstance(bits, _Block):
+        z = bits.excursions[direction]
+    else:
+        x = 2.0 * b - 1.0
+        if direction == "backward":
+            x = x[::-1]
+        z = int(np.max(np.abs(np.cumsum(x))))
     # Summation limits in integer arithmetic truncated toward zero, as in
     # the NIST SP 800-22 reference code: (-n/z + 1)/4, (n/z - 1)/4, (-n/z - 3)/4.
     q = n // z
     top = (q - 1) // 4
-    cdf: dict[int, float] = {}
-
-    def phi(j: int) -> float:
-        # normal_cdf(j * z / sqrt_n); both sums visit most odd j twice
-        if j not in cdf:
-            cdf[j] = normal_cdf(j * z / sqrt_n)
-        return cdf[j]
-
-    total = 1.0
-    for k in range(-top, top + 1):
-        total -= phi(4 * k + 1) - phi(4 * k - 1)
-    for k in range(-((q + 3) // 4), top + 1):
-        total += phi(4 * k + 3) - phi(4 * k + 1)
+    # total = 1 - sum_k [phi(4k+1) - phi(4k-1)] + sum_k [phi(4k+3) - phi(4k+1)]
+    # with phi(j) = normal_cdf(j * z / sqrt(n)), read from the table at j * z.
+    cdf, reach = _normal_cdf_table(n)
+    first = 4 * np.arange(-top, top + 1)
+    second = 4 * np.arange(-((q + 3) // 4), top + 1)
+    j = np.concatenate((first + 1, second + 3, first - 1, second + 1))
+    phi = cdf[np.clip(j * z, -reach - 1, reach + 1) + reach + 1]
+    n_terms = len(first) + len(second)
+    terms = np.empty(n_terms + 1)
+    terms[0] = 1.0
+    np.subtract(phi[:n_terms], phi[n_terms:], out=terms[1:])
+    terms[1 : len(first) + 1] *= -1.0
+    # cumsum adds the terms one after another, in the order of the k-sums
+    total = float(np.cumsum(terms)[-1])
     return min(max(total, 0.0), 1.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _normal_cdf_table(n: int) -> tuple[np.ndarray, int]:
+    """``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for ``|p| <= reach + 1``.
+
+    Beyond ``reach`` erfc's argument ``p / sqrt(n) / sqrt(2)`` exceeds 27 in
+    magnitude, where erfc gives exactly 0.0 or 2.0, so the two end entries
+    0.0 and 1.0 stand for every larger ``|p|``.
+    """
+    sqrt_n = math.sqrt(n)
+    reach = math.ceil(27.0 * math.sqrt(2.0) * sqrt_n)
+    assert (reach + 1) / sqrt_n / math.sqrt(2.0) > 27.0
+    table = np.empty(2 * reach + 3)
+    table[0], table[-1] = 0.0, 1.0
+    table[1:-1] = normal_cdf(np.arange(-reach, reach + 1) / sqrt_n)
+    table.flags.writeable = False
+    return table, reach
 
 
 def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     """Occurrences of each overlapping m-bit pattern, wrapping around the end."""
     n = len(b)
     extended = np.concatenate([b, b[: m - 1]]) if m > 1 else b
-    value = np.zeros(n, dtype=np.int64)
-    for i in range(m):
-        value = (value << 1) | extended[i : i + n]
+    value = extended[:n].astype(np.min_scalar_type(2**m - 1))
+    for i in range(1, m):
+        value <<= 1
+        value |= extended[i : i + n]
     return np.bincount(value, minlength=2**m)
 
 
@@ -167,17 +193,27 @@ def _counts(bits, b: np.ndarray, m: int) -> np.ndarray:
 
 
 class _Block:
-    """One validated battery block and the pattern counts its tests share.
+    """One validated battery block and the pattern counts and walk its tests share.
 
     ``evaluate_block`` hands this to each public test function, so the bits
     are checked once per battery run and counted once per block. Counts of
     every length up to ``max_m`` come from the ``max_m``-bit counts: the
     circular (m-1)-bit pattern q occurs exactly as often as the m-bit
     patterns 2q and 2q + 1 together.
+
+    Both cumulative-sums excursions come from one +-1 walk S_0 = 0, ...,
+    S_n = end with extremes ``hi`` and ``lo``: the backward walk's partial
+    sums are ``end - S_i``, so its excursion is ``max(end - lo, hi - end)``.
     """
 
     def __init__(self, bits: np.ndarray, max_m: int):
         self.bits = bits
+        walk = bits.astype(np.int64)
+        walk *= 2
+        walk -= 1
+        np.cumsum(walk, out=walk)
+        hi, lo, end = max(int(walk.max()), 0), min(int(walk.min()), 0), int(walk[-1])
+        self.excursions = {"forward": max(hi, -lo), "backward": max(end - lo, hi - end)}
         counts = _pattern_counts(bits, max_m)
         self.counts = {max_m: counts}
         for m in range(max_m - 1, 0, -1):

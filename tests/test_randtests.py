@@ -1,5 +1,7 @@
 """Statistical tests: worked examples, properties, battery plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +13,10 @@ from bsqrng.randtests import (
     NOT_RUN,
     BatteryParams,
     InsufficientDataError,
+    _as_bits,
     _Block,
     _longest_runs,
+    _normal_cdf_table,
     _pattern_counts,
     approximate_entropy,
     block_frequency,
@@ -24,6 +28,7 @@ from bsqrng.randtests import (
     runs,
     serial,
 )
+from bsqrng.special import normal_cdf
 
 # First hundred bits of the binary expansion of pi, as used in the reference
 # suite's frequency example.
@@ -212,6 +217,53 @@ class TestVectorizedKernels:
             assert np.array_equal(shared.counts[m], _pattern_counts(bits, m)), m
 
 
+def shaped_walk(steps, shape):
+    """Bits whose +-1 walk follows ``shape``: free, never below or above zero, or monotone."""
+    if shape == "monotone":
+        return np.full(len(steps), steps[0], dtype=np.uint8)
+    level, bits = 0, []
+    for up in steps:
+        if shape != "free" and level == 0:
+            up = shape == "non_negative"
+        level += 1 if up else -1
+        bits.append(up)
+    return np.array(bits, dtype=np.uint8)
+
+
+def direct_excursion(bits, direction):
+    steps = 2 * bits.astype(np.int64) - 1
+    return int(np.abs(np.cumsum(steps if direction == "forward" else steps[::-1])).max())
+
+
+class TestCumulativeSumsKernels:
+    @given(
+        st.lists(st.booleans(), min_size=2, max_size=300),
+        st.sampled_from(["free", "non_negative", "non_positive", "monotone"]),
+    )
+    @example([True, False], "free")
+    @example([False, True], "free")
+    @example([True, True], "monotone")
+    @example([False, False], "monotone")
+    def test_shared_walk_matches_plain_array(self, steps, shape):
+        bits = shaped_walk(steps, shape)
+        block = _Block(bits, 1)
+        for direction in ("forward", "backward"):
+            assert block.excursions[direction] == direct_excursion(bits, direction)
+            shared = cumulative_sums(block, direction)
+            assert shared.hex() == cumulative_sums(bits, direction).hex(), direction
+
+    @given(st.integers(2, 10**7))
+    def test_normal_cdf_table_edges(self, n):
+        table, reach = _normal_cdf_table(n)
+        assert len(table) == 2 * reach + 3
+        sqrt_n = math.sqrt(n)
+        for p in (-reach - 1, -reach, -1, 0, 1, reach, reach + 1):
+            assert table[p + reach + 1].hex() == normal_cdf(p / sqrt_n).hex(), p
+        # every |p| beyond reach reads the end entries: exactly 0.0 and 1.0
+        assert normal_cdf(-(reach + 1) / sqrt_n) == 0.0
+        assert normal_cdf((reach + 1) / sqrt_n) == 1.0
+
+
 class TestPreconditions:
     def test_monobit_minimum_length(self):
         with pytest.raises(InsufficientDataError):
@@ -233,6 +285,14 @@ class TestPreconditions:
             serial(ideal_bits(256), 1)
         with pytest.raises(InsufficientDataError):
             approximate_entropy(ideal_bits(4), 3)
+
+    def test_bit_strings_hold_only_zeros_and_ones(self):
+        assert _as_bits("0110").tolist() == [0, 1, 1, 0]
+        for text in ("0121", "01 10", "01a1", "0¹1"):
+            with pytest.raises(ValueError):
+                _as_bits(text)
+        with pytest.raises(ValueError):
+            frequency_monobit("2" * 100)
 
     def test_cumulative_sums_direction(self):
         with pytest.raises(ValueError):
