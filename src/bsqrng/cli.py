@@ -17,15 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import DetectorPair, outcome_probabilities, throughput
-from .fock import (
-    DEFAULT_TRUNCATION,
-    SourceModel,
-    TruncationError,
-    TruncationPolicy,
+from .detection import (
+    DetectorPair,
     coincidence_contrast,
-    output_joint_distribution,
+    outcome_probabilities,
+    throughput,
 )
+from .fock import SourceModel, TruncationError, output_joint_distribution
 from .mcsim import SimConfig, run
 from .postproc import BitStream, events_to_bits, stream_stats, von_neumann
 from .randtests import parse_report_csv, run_battery
@@ -79,7 +77,7 @@ class SweepRow:
 _SWEEP_HEADER = "mu_eta,source,p_gen,p_disc,p_none,contrast"
 
 
-def sweep(spec: SweepSpec, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> list[SweepRow]:
+def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Analytic generation/discard/contrast table over the grid."""
     rows = []
     for mu_eta in spec.grid():
@@ -92,7 +90,7 @@ def sweep(spec: SweepSpec, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> lis
         for source in spec.sources:
             try:
                 probs = outcome_probabilities(
-                    output_joint_distribution(source, float(mu_eta), policy)
+                    output_joint_distribution(source, float(mu_eta))
                 )
                 rows.append(
                     SweepRow(
@@ -133,24 +131,19 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def find_optimum(
     source: SourceModel,
     bracket: tuple[float, float] = (0.2, 6.0),
-    policy: TruncationPolicy = DEFAULT_TRUNCATION,
-    tol: float = 1e-4,
-    detectors: DetectorPair = DetectorPair(),
 ) -> tuple[float, float]:
     """Locate the mu-eta value maximizing the valid-bit probability.
 
     A coarse log-spaced pre-scan checks the bracket contains a single
     interior peak (small truncation wiggles tolerated), then golden-section
-    search refines the argmax to ``tol``.
+    search refines the argmax to within 1e-4.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
 
     def p_gen(mu_eta: float) -> float:
-        return outcome_probabilities(
-            output_joint_distribution(source, mu_eta, policy), detectors
-        ).p_gen
+        return outcome_probabilities(output_joint_distribution(source, mu_eta)).p_gen
 
     grid = np.geomspace(lo, hi, 33)
     values = [p_gen(float(x)) for x in grid]
@@ -167,7 +160,7 @@ def find_optimum(
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = p_gen(c), p_gen(d)
-    while b - a > tol:
+    while b - a > 1e-4:
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)

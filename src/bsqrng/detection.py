@@ -3,12 +3,17 @@
 A threshold detector of efficiency eta clicks on an i-photon state with
 probability 1 - (1 - eta)^i. Each output mode of the splitter feeds one
 detector; a gate yields a valid bit when exactly one detector clicks, a
-discarded collision when both click, and nothing when neither does.
+discarded collision when both click, and nothing when neither does. The
+coincidence contrast compares a source's collision probability with that of
+the distinguishable pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fock import (
     JointPhotonDistribution,
@@ -29,6 +34,11 @@ class DetectorPair:
         for name, eta in (("eta0", self.eta0), ("eta1", self.eta1)):
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {eta}")
+
+    def click_probabilities(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Click probability of the bit-0 and bit-1 channels for 0..width-1 photons."""
+        counts = np.arange(width)
+        return 1.0 - (1.0 - self.eta0) ** counts, 1.0 - (1.0 - self.eta1) ** counts
 
 
 @dataclass(frozen=True)
@@ -52,35 +62,20 @@ class OutcomeProbabilities:
     p_bit1_partner_missed: float
 
 
-def click_probability(eta: float, photons: int) -> float:
-    """Probability that a threshold detector of efficiency ``eta`` clicks on ``photons``."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
-    if photons < 0:
-        raise ValueError(f"photon count must be non-negative, got {photons}")
-    if photons == 0:
-        return 0.0
-    return 1.0 - (1.0 - eta) ** photons
-
-
 def outcome_probabilities(
     dist: JointPhotonDistribution, det: DetectorPair = DetectorPair()
 ) -> OutcomeProbabilities:
     """Fold a joint output photon distribution through a threshold-detector pair."""
-    bit0_lone = bit0_missed = bit1_lone = bit1_missed = disc = 0.0
-    for (m, n), p in dist.probs.items():
-        if m == 0 and n == 0:
-            continue
-        click0 = click_probability(det.eta0, m)
-        click1 = click_probability(det.eta1, n)
-        if n == 0:
-            bit0_lone += p * click0
-        elif m == 0:
-            bit1_lone += p * click1
-        else:
-            bit0_missed += p * click0 * (1.0 - click1)
-            bit1_missed += p * (1.0 - click0) * click1
-            disc += p * click0 * click1
+    p = dist.probs
+    click0, click1 = det.click_probabilities(len(p))
+    bit0_lone = float(np.sum(p[1:, 0] * click0[1:]))
+    bit1_lone = float(np.sum(p[0, 1:] * click1[1:]))
+    # Both modes occupied: rows m >= 1, columns n >= 1.
+    both = p[1:, 1:]
+    c0, c1 = click0[1:, None], click1[None, 1:]
+    bit0_missed = float(np.sum(both * c0 * (1.0 - c1)))
+    bit1_missed = float(np.sum(both * (1.0 - c0) * c1))
+    disc = float(np.sum(both * c0 * c1))
     p_gen = bit0_lone + bit0_missed + bit1_lone + bit1_missed
     p_none = 1.0 - p_gen - disc
     bias = (bit0_lone + bit0_missed) / p_gen if p_gen > 0.0 else None
@@ -94,6 +89,41 @@ def outcome_probabilities(
         p_bit1_lone=bit1_lone,
         p_bit1_partner_missed=bit1_missed,
     )
+
+
+# Tight truncation for the contrast ratio: the default 0.1% tail empties the
+# two-photon coincidence sector entirely below mu_eff ~ 0.05.
+_CONTRAST_POLICY = TruncationPolicy(tail_mass=1e-12)
+
+
+def coincidence_contrast(
+    mu_eff: float,
+    eta0: float = 1.0,
+    eta1: float = 1.0,
+    source: SourceModel | None = None,
+) -> float:
+    """Coincidence-count contrast of ``source`` against the no-interference baseline.
+
+    Returns 1 - P_cc(source) / P_cc(distinguishable), where P_cc is the
+    probability that both threshold detectors click, ``p_disc``. Defaults to
+    the indistinguishable pair, whose contrast is capped at 0.5 by
+    multi-photon input events and decays as mu_eff grows.
+    """
+    det = DetectorPair(eta0, eta1)
+    if source is None:
+        source = SourceModel.indistinguishable_pair()
+
+    def p_cc(src: SourceModel) -> float:
+        dist = output_joint_distribution(src, mu_eff, _CONTRAST_POLICY, min_total=2)
+        return outcome_probabilities(dist, det).p_disc
+
+    p_cc_source = p_cc(source)
+    p_cc_baseline = p_cc(SourceModel.distinguishable_pair())
+    if p_cc_baseline <= 0.0 or not math.isfinite(p_cc_baseline):
+        raise ValueError(
+            f"baseline coincidence probability underflows at mu_eff={mu_eff}"
+        )
+    return 1.0 - p_cc_source / p_cc_baseline
 
 
 # Loss folding is exact in the model; a tight tail keeps the truncation

@@ -120,27 +120,17 @@ _MASS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class AmplitudeMap:
-    """Output-state amplitudes of the splitter for one Fock input."""
-
-    entries: dict[OccupationPair, complex]
-
-    def squared(self) -> dict[OccupationPair, float]:
-        return {k: abs(a) ** 2 for k, a in self.entries.items()}
-
-    def total_probability(self) -> float:
-        return sum(abs(a) ** 2 for a in self.entries.values())
-
-
-@dataclass(frozen=True)
 class JointPhotonDistribution:
     """Probability table over output photon-number pairs.
 
+    ``probs[m, n]`` is the read-only probability of m photons in the first
+    output mode and n in the second; it is 0 where m + n exceeds the
+    truncation bound, so ``len(probs)`` is the bound plus one.
     ``truncation_mass`` is the probability captured by the enumerated inputs;
     the remainder (at most the policy's tail) was dropped.
     """
 
-    probs: dict[OccupationPair, float]
+    probs: np.ndarray
     mu_eff: float
     source: SourceModel
     truncation_mass: float
@@ -150,35 +140,12 @@ class JointPhotonDistribution:
             raise TruncationError(
                 f"captured probability {self.truncation_mass:.6f} is below "
                 f"{_REQUIRED_MASS} for mu_eff={self.mu_eff}",
-                bound=max((p.total() for p in self.probs), default=0),
+                bound=len(self.probs) - 1,
             )
-        for pair, p in self.probs.items():
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ValueError(f"probability out of range at {pair}: {p}")
-
-    def prob(self, pair: OccupationPair | tuple[int, int]) -> float:
-        return self.probs.get(OccupationPair(*pair), 0.0)
-
-    def marginal_first(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for (m, _n), p in self.probs.items():
-            out[m] = out.get(m, 0.0) + p
-        return out
-
-
-def poisson_pair_pmf(mu: float, occ: OccupationPair | tuple[int, int]) -> float:
-    """Joint probability of ``occ`` photons in the two input arms.
-
-    Equals the product of two independent Poisson(mu/2) laws:
-    exp(-mu) mu^(m+n) / (m! n! 2^(m+n)).
-    """
-    occ = OccupationPair(*occ)
-    _check_occupation(occ)
-    if mu <= 0.0:
-        raise ValueError(f"mean photon number must be positive, got {mu}")
-    m, n = occ
-    log_p = -mu + (m + n) * (math.log(mu) - _LN2) - math.lgamma(m + 1) - math.lgamma(n + 1)
-    return math.exp(log_p)
+        bad = np.argwhere(~((self.probs >= -1e-12) & (self.probs <= 1.0 + 1e-12)))
+        if len(bad):
+            m, n = bad[0]
+            raise ValueError(f"probability out of range at ({m}, {n}): {self.probs[m, n]}")
 
 
 def truncation_bound(mu: float, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> int:
@@ -190,11 +157,6 @@ def truncation_bound(mu: float, policy: TruncationPolicy = DEFAULT_TRUNCATION) -
     while poisson_cdf(k, mu) < target:
         k += 1
     return k
-
-
-def _check_occupation(occ: OccupationPair) -> None:
-    if occ.first < 0 or occ.second < 0:
-        raise ValueError(f"photon counts must be non-negative, got {tuple(occ)}")
 
 
 @lru_cache(maxsize=None)
@@ -251,25 +213,21 @@ def _routing_probabilities_array(m: int, n: int) -> np.ndarray:
     return np.convolve(pm, pn)
 
 
-def bs_output_amplitudes(input_pair: OccupationPair | tuple[int, int]) -> AmplitudeMap:
-    """Beam-splitter transform of one Fock input, as a map over output kets.
+def bs_output_amplitudes(input_pair: OccupationPair | tuple[int, int]) -> np.ndarray:
+    """Beam-splitter transform of one Fock input (m, n).
 
-    Every output ket with the same total photon number is present, including
-    interference nulls with amplitude exactly zero.
+    Entry M of the returned complex array is the amplitude of the output ket
+    (M, m + n - M), for M = 0..m+n; interference nulls are exactly zero.
     """
     pair = OccupationPair(*input_pair)
-    _check_occupation(pair)
+    if pair.first < 0 or pair.second < 0:
+        raise ValueError(f"photon counts must be non-negative, got {tuple(pair)}")
     total = pair.total()
     if total > MAX_INPUT_TOTAL:
         raise OverflowError(
             f"input total {total} exceeds the supported bound {MAX_INPUT_TOTAL}"
         )
-    amps = _bs_amplitudes_array(pair.first, pair.second)
-    entries = {
-        OccupationPair(out_m, total - out_m): complex(amps[out_m])
-        for out_m in range(total + 1)
-    }
-    return AmplitudeMap(entries)
+    return _bs_amplitudes_array(pair.first, pair.second).copy()
 
 
 def output_joint_distribution(
@@ -294,88 +252,56 @@ def output_joint_distribution(
     if mu_eff <= 0.0:
         raise ValueError(f"mean photon number must be positive, got {mu_eff}")
     bound = max(truncation_bound(mu_eff, policy), min_total)
+    weights = _arm_weights(mu_eff, bound)
 
     kind = source.kind
     if kind is SourceKind.SINGLE:
-        probs = _product_poisson_probs(mu_eff, bound)
+        probs = weights
     elif kind is SourceKind.INDISTINGUISHABLE:
-        probs = _transformed_probs(mu_eff, bound, _bs_probabilities_array)
+        probs = _transformed(weights, _bs_probabilities_array)
     elif kind is SourceKind.DISTINGUISHABLE:
-        probs = _transformed_probs(mu_eff, bound, _routing_probabilities_array)
+        probs = _transformed(weights, _routing_probabilities_array)
     else:
         w = source.overlap
-        interfering = _transformed_probs(mu_eff, bound, _bs_probabilities_array)
-        routed = _transformed_probs(mu_eff, bound, _routing_probabilities_array)
-        probs = {
-            key: w * interfering[key] + (1.0 - w) * routed[key] for key in routed
-        }
+        interfering = _transformed(weights, _bs_probabilities_array)
+        routed = _transformed(weights, _routing_probabilities_array)
+        probs = w * interfering + (1.0 - w) * routed
 
-    mass = math.fsum(probs.values())
-    return JointPhotonDistribution(probs, mu_eff, source, mass)
+    probs.setflags(write=False)
+    return JointPhotonDistribution(probs, mu_eff, source, math.fsum(probs.ravel()))
 
 
-def _product_poisson_probs(mu: float, bound: int) -> dict[OccupationPair, float]:
-    return {
-        OccupationPair(m, t - m): poisson_pair_pmf(mu, (m, t - m))
-        for t in range(bound + 1)
-        for m in range(t + 1)
-    }
+def _arm_weights(mu: float, bound: int) -> np.ndarray:
+    """Joint probability of (m, n) photons in the two input arms, m + n <= bound.
 
-
-def _transformed_probs(mu: float, bound: int, rows) -> dict[OccupationPair, float]:
-    probs: dict[OccupationPair, float] = {}
-    for t in range(bound + 1):
-        sector = np.zeros(t + 1)
-        for m in range(t + 1):
-            sector += poisson_pair_pmf(mu, (m, t - m)) * rows(m, t - m)
-        for out_m in range(t + 1):
-            probs[OccupationPair(out_m, t - out_m)] = float(sector[out_m])
-    return probs
-
-
-# Tight truncation for the contrast ratio: the default 0.1% tail empties the
-# two-photon coincidence sector entirely below mu_eff ~ 0.05.
-_CONTRAST_POLICY = TruncationPolicy(tail_mass=1e-12)
-
-
-def coincidence_contrast(
-    mu_eff: float,
-    eta0: float = 1.0,
-    eta1: float = 1.0,
-    source: SourceModel | None = None,
-) -> float:
-    """Coincidence-count contrast of ``source`` against the no-interference baseline.
-
-    Returns 1 - P_cc(source) / P_cc(distinguishable), where P_cc sums the
-    probability of both threshold detectors clicking. Defaults to the
-    indistinguishable pair, whose contrast is capped at 0.5 by multi-photon
-    input events and decays as mu_eff grows.
+    The product of two independent Poisson(mu/2) laws,
+    exp(-mu) mu^(m+n) / (m! n! 2^(m+n)), taken in log space; ``math.exp``
+    per element keeps each value equal to its scalar evaluation.
     """
-    for name, eta in (("eta0", eta0), ("eta1", eta1)):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {eta}")
-    if source is None:
-        source = SourceModel.indistinguishable_pair()
-    numerator_dist = output_joint_distribution(
-        source, mu_eff, _CONTRAST_POLICY, min_total=2
-    )
-    baseline_dist = output_joint_distribution(
-        SourceModel.distinguishable_pair(), mu_eff, _CONTRAST_POLICY, min_total=2
-    )
-    p_cc_source = _coincidence_probability(numerator_dist, eta0, eta1)
-    p_cc_baseline = _coincidence_probability(baseline_dist, eta0, eta1)
-    if p_cc_baseline <= 0.0 or not math.isfinite(p_cc_baseline):
-        raise ValueError(
-            f"baseline coincidence probability underflows at mu_eff={mu_eff}"
-        )
-    return 1.0 - p_cc_source / p_cc_baseline
+    lf = _log_factorials(bound)
+    k = np.arange(bound + 1)
+    total = k[:, None] + k[None, :]
+    log_w = -mu + total * (math.log(mu) - _LN2) - lf[:, None] - lf[None, :]
+    inside = total <= bound
+    weights = np.zeros((bound + 1, bound + 1))
+    weights[inside] = [math.exp(x) for x in log_w[inside]]
+    return weights
 
 
-def _coincidence_probability(
-    dist: JointPhotonDistribution, eta0: float, eta1: float
-) -> float:
-    total = 0.0
-    for (m, n), p in dist.probs.items():
-        if m >= 1 and n >= 1:
-            total += p * (1.0 - (1.0 - eta0) ** m) * (1.0 - (1.0 - eta1) ** n)
-    return total
+@lru_cache(maxsize=None)
+def _sector_rows(rows, total: int) -> np.ndarray:
+    """Row m is ``rows(m, total - m)``: output distributions of one input total."""
+    return np.array([rows(m, total - m) for m in range(total + 1)])
+
+
+def _transformed(weights: np.ndarray, rows) -> np.ndarray:
+    """Output table of inputs weighted by ``weights`` through the splitter ``rows``.
+
+    Photon number is conserved, so each input total t fills the output
+    anti-diagonal m + n = t with the weighted sum of its sector's rows.
+    """
+    out = np.zeros_like(weights)
+    for t in range(len(weights)):
+        m = np.arange(t + 1)
+        out[m, t - m] = (weights[m, t - m][:, None] * _sector_rows(rows, t)).sum(axis=0)
+    return out

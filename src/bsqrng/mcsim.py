@@ -249,9 +249,7 @@ class _SamplerTables:
             parts.append(build(_routing_probabilities_array))
         self.splitter = _GuideTable(np.concatenate(parts))
 
-        counts = np.arange(width)
-        self.click0 = 1.0 - (1.0 - cfg.detectors.eta0) ** counts
-        self.click1 = 1.0 - (1.0 - cfg.detectors.eta1) ** counts
+        self.click0, self.click1 = cfg.detectors.click_probabilities(width)
 
     def row_index(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         return m * self._row_stride + n

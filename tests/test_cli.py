@@ -53,6 +53,27 @@ class TestSweep:
         assert float(edge["single"]["p_disc"]) >= 0.95
         assert float(edge["indist"]["p_disc"]) == pytest.approx(0.7443, abs=2e-3)
 
+    def test_contrast_underflow_annotates_each_row(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--mu-eta-min", "1e-200", "--mu-eta-max", "2e-200",
+            "--points", "2", "--source", "single,indist",
+        )
+        assert code == 0
+        lines = out.strip().splitlines()[1:]
+        assert len(lines) == 8
+        for note, row in zip(lines[::2], lines[1::2]):
+            mu_eta, source, *_, contrast = row.split(",")
+            assert note == (
+                f"# mu_eta={mu_eta} source={source} error: baseline coincidence "
+                f"probability underflows at mu_eff={mu_eta}"
+            )
+            assert contrast == "nan"
+        _, rows = parse_sweep_csv(out)
+        assert [(r["mu_eta"], r["source"]) for r in rows] == [
+            ("1e-200", "single"), ("1e-200", "indist"),
+            ("2e-200", "single"), ("2e-200", "indist"),
+        ]
+
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(

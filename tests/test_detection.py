@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from bsqrng.detection import (
     DetectorPair,
-    click_probability,
     folding_equivalence_check,
     outcome_probabilities,
     throughput,
@@ -32,6 +31,11 @@ def single_closed_form(mu_eta):
     return 2.0 * p * (1.0 - p), p * p
 
 
+def click_probability(eta, photons):
+    """Click probability of the bit-0 channel of efficiency ``eta`` on ``photons``."""
+    return DetectorPair(eta, 1.0).click_probabilities(photons + 1)[0][photons]
+
+
 class TestClickProbability:
     def test_vacuum_never_clicks(self):
         for eta in (0.0, 0.3, 1.0):
@@ -52,7 +56,7 @@ class TestClickProbability:
         with pytest.raises(ValueError):
             click_probability(1.2, 1)
         with pytest.raises(ValueError):
-            click_probability(0.5, -1)
+            DetectorPair(1.0, -0.5).click_probabilities(3)
 
 
 class TestOutcomeProbabilities:
@@ -79,10 +83,12 @@ class TestOutcomeProbabilities:
         assert probs.p_gen == pytest.approx(0.6615722257877258, abs=1e-9)
         assert probs.p_gen == pytest.approx(0.66, abs=0.01)
 
-    def test_four_terms_against_caseless_oracle(self):
+    @pytest.mark.parametrize("eta0, eta1", [(0.6, 0.85), (0.9, 0.3), (1.0, 1.0)])
+    @pytest.mark.parametrize("source", ALL_SOURCES, ids=lambda s: s.label)
+    def test_four_terms_against_caseless_oracle(self, source, eta0, eta1):
         # oracle: no case split, click probabilities applied to every entry
-        dist = output_joint_distribution(SourceModel.indistinguishable_pair(), 1.7)
-        det = DetectorPair(0.6, 0.85)
+        dist = output_joint_distribution(source, 1.7)
+        det = DetectorPair(eta0, eta1)
         probs = outcome_probabilities(dist, det)
 
         def c0(m):
@@ -91,7 +97,7 @@ class TestOutcomeProbabilities:
         def c1(n):
             return 1.0 - (1.0 - det.eta1) ** n
 
-        items = dist.probs.items()
+        items = [((m, n), float(p)) for (m, n), p in np.ndenumerate(dist.probs)]
         p_bit0 = sum(p * c0(m) * (1.0 - c1(n)) for (m, n), p in items)
         p_bit1 = sum(p * (1.0 - c0(m)) * c1(n) for (m, n), p in items)
         p_disc = sum(p * c0(m) * c1(n) for (m, n), p in items)
@@ -117,7 +123,8 @@ class TestOutcomeProbabilities:
         assert probs.p_gen + probs.p_disc + probs.p_none == pytest.approx(1.0, abs=1e-10)
         # independent accounting of the no-click share plus the dropped tail
         p_none_oracle = sum(
-            p * (1.0 - 0.8) ** m * (1.0 - 0.55) ** n for (m, n), p in dist.probs.items()
+            p * (1.0 - 0.8) ** m * (1.0 - 0.55) ** n
+            for (m, n), p in np.ndenumerate(dist.probs)
         ) + (1.0 - dist.truncation_mass)
         assert probs.p_none == pytest.approx(p_none_oracle, abs=1e-10)
         for value in (probs.p_gen, probs.p_disc, probs.p_none):

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bsqrng.detection import coincidence_contrast
 from bsqrng.fock import (
     MAX_INPUT_TOTAL,
-    OccupationPair,
     SourceModel,
     TruncationPolicy,
     bs_output_amplitudes,
-    coincidence_contrast,
     output_joint_distribution,
-    poisson_pair_pmf,
     truncation_bound,
 )
 
@@ -29,39 +27,42 @@ def poisson_pmf(mean, k):
     return math.exp(-mean) * mean**k / math.factorial(k)
 
 
+def poisson_pair_table(mu, min_total=0):
+    """The single source's output table: the Poisson pair pmf of the input arms."""
+    return output_joint_distribution(SourceModel.single(), mu, min_total=min_total).probs
+
+
 class TestPoissonPairPmf:
     def test_vacuum_term(self):
         for mu in (0.2, 1.0, 3.7):
-            assert poisson_pair_pmf(mu, (0, 0)) == pytest.approx(math.exp(-mu), rel=1e-14)
+            assert poisson_pair_table(mu)[0, 0] == pytest.approx(math.exp(-mu), rel=1e-14)
 
     def test_one_one_at_mu_two(self):
         # product of two Poisson(1.0) pmfs at 1 and 1
-        assert poisson_pair_pmf(2.0, (1, 1)) == pytest.approx(
+        assert poisson_pair_table(2.0)[1, 1] == pytest.approx(
             0.1353352832366127, rel=1e-12
         )
 
     @given(means, counts, counts)
     def test_matches_product_of_independent_arms(self, mu, m, n):
         oracle = poisson_pmf(mu / 2, m) * poisson_pmf(mu / 2, n)
-        assert poisson_pair_pmf(mu, (m, n)) == pytest.approx(oracle, rel=1e-10)
+        table = poisson_pair_table(mu, min_total=m + n)
+        assert table[m, n] == pytest.approx(oracle, rel=1e-10)
 
     def test_truncated_mass_meets_rule(self):
         for mu in (0.1, 1.0, 2.1, 5.0, 20.0):
-            bound = truncation_bound(mu)
+            table = poisson_pair_table(mu)
+            assert len(table) == truncation_bound(mu) + 1
             mass = sum(
-                poisson_pair_pmf(mu, (m, t - m))
-                for t in range(bound + 1)
-                for m in range(t + 1)
+                table[m, t - m] for t in range(len(table)) for m in range(t + 1)
             )
             assert mass >= 0.999
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            poisson_pair_pmf(0.0, (0, 0))
+            poisson_pair_table(0.0)
         with pytest.raises(ValueError):
-            poisson_pair_pmf(-1.0, (0, 0))
-        with pytest.raises(ValueError):
-            poisson_pair_pmf(1.0, (-1, 0))
+            poisson_pair_table(-1.0)
 
 
 class TestTruncationBound:
@@ -95,39 +96,45 @@ class TestTruncationBound:
 
 
 class TestSplitterTransform:
+    # Entry M of an amplitude array is the output ket (M, total - M).
+
     def test_vacuum_invariant(self):
         amp = bs_output_amplitudes((0, 0))
-        assert amp.entries == {OccupationPair(0, 0): 1.0 + 0.0j}
+        assert amp.tolist() == [1.0 + 0.0j]
 
     def test_single_photon_superposition(self):
-        amp = bs_output_amplitudes((1, 0)).entries
-        assert amp[OccupationPair(1, 0)] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert amp[OccupationPair(0, 1)] == pytest.approx(1j / math.sqrt(2), abs=1e-15)
+        amp = bs_output_amplitudes((1, 0))
+        assert amp[1] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert amp[0] == pytest.approx(1j / math.sqrt(2), abs=1e-15)
 
     def test_two_photon_bunching_null(self):
-        amp = bs_output_amplitudes((1, 1)).entries
-        assert amp[OccupationPair(1, 1)] == 0.0  # exact cancellation
-        assert abs(amp[OccupationPair(2, 0)]) ** 2 == pytest.approx(0.5, abs=1e-14)
-        assert abs(amp[OccupationPair(0, 2)]) ** 2 == pytest.approx(0.5, abs=1e-14)
+        amp = bs_output_amplitudes((1, 1))
+        assert amp[1] == 0.0  # exact cancellation
+        assert abs(amp[2]) ** 2 == pytest.approx(0.5, abs=1e-14)
+        assert abs(amp[0]) ** 2 == pytest.approx(0.5, abs=1e-14)
 
     def test_two_photons_one_arm(self):
         # oracle: expanding ((c + j d)/sqrt(2))^2 on vacuum gives
         # |2,0>/2 + j|1,1>/sqrt(2) - |0,2>/2
-        amp = bs_output_amplitudes((2, 0)).entries
-        assert amp[OccupationPair(1, 1)] == pytest.approx(1j / math.sqrt(2), abs=1e-14)
-        assert abs(amp[OccupationPair(1, 1)]) ** 2 == pytest.approx(0.5, abs=1e-14)
-        assert amp[OccupationPair(2, 0)] == pytest.approx(0.5, abs=1e-14)
-        assert amp[OccupationPair(0, 2)] == pytest.approx(-0.5, abs=1e-14)
+        amp = bs_output_amplitudes((2, 0))
+        assert amp[1] == pytest.approx(1j / math.sqrt(2), abs=1e-14)
+        assert abs(amp[1]) ** 2 == pytest.approx(0.5, abs=1e-14)
+        assert amp[2] == pytest.approx(0.5, abs=1e-14)
+        assert amp[0] == pytest.approx(-0.5, abs=1e-14)
 
     @given(counts, counts)
     def test_unitarity_and_conservation(self, m, n):
         amp = bs_output_amplitudes((m, n))
-        assert amp.total_probability() == pytest.approx(1.0, abs=1e-12)
-        assert all(key.total() == m + n for key in amp.entries)
+        assert np.sum(np.abs(amp) ** 2) == pytest.approx(1.0, abs=1e-12)
+        assert len(amp) == m + n + 1
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             bs_output_amplitudes((MAX_INPUT_TOTAL, 1))
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError):
+            bs_output_amplitudes((-1, 0))
 
 
 def routing_oracle(mu, bound):
@@ -151,14 +158,14 @@ class TestJointDistribution:
         # input contributes nothing, (2,0) and (0,2) contribute half each
         for mu in (0.3, 1.3, 2.1):
             dist = output_joint_distribution(SourceModel.indistinguishable_pair(), mu)
-            assert dist.prob((1, 1)) == pytest.approx(
+            assert dist.probs[1, 1] == pytest.approx(
                 math.exp(-mu) * mu**2 / 8, rel=1e-12
             )
 
     def test_single_source_coincidence_is_twice_interfering(self):
         for mu in (0.3, 1.3, 2.1):
             dist = output_joint_distribution(SourceModel.single(), mu)
-            assert dist.prob((1, 1)) == pytest.approx(
+            assert dist.probs[1, 1] == pytest.approx(
                 math.exp(-mu) * mu**2 / 4, rel=1e-12
             )
 
@@ -167,17 +174,17 @@ class TestJointDistribution:
         dist = output_joint_distribution(SourceModel.distinguishable_pair(), mu)
         bound = truncation_bound(mu)
         oracle = routing_oracle(mu, bound)
-        assert set(map(tuple, dist.probs)) == set(oracle)
+        support = {(int(m), int(n)) for m, n in np.argwhere(dist.probs > 0.0)}
+        assert support == set(oracle)
         for key, expected in oracle.items():
-            assert dist.prob(key) == pytest.approx(expected, abs=1e-13)
+            assert dist.probs[key] == pytest.approx(expected, abs=1e-13)
 
     @pytest.mark.parametrize("mu", [0.1, 1.0, 5.0])
     def test_distinguishable_equals_single_benchmark(self, mu):
         single = output_joint_distribution(SourceModel.single(), mu)
         routed = output_joint_distribution(SourceModel.distinguishable_pair(), mu)
-        assert set(single.probs) == set(routed.probs)
-        for key in single.probs:
-            assert abs(single.probs[key] - routed.probs[key]) <= 1e-12
+        assert single.probs.shape == routed.probs.shape
+        assert np.max(np.abs(single.probs - routed.probs)) <= 1e-12
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_mixture_interpolates(self, overlap):
@@ -187,20 +194,17 @@ class TestJointDistribution:
             SourceModel.indistinguishable_pair(), mu
         )
         routed = output_joint_distribution(SourceModel.distinguishable_pair(), mu)
-        for key in mix.probs:
-            expected = overlap * interfering.probs[key] + (1 - overlap) * routed.probs[key]
-            assert mix.probs[key] == pytest.approx(expected, abs=1e-14)
+        expected = overlap * interfering.probs + (1 - overlap) * routed.probs
+        assert mix.probs == pytest.approx(expected, abs=1e-14)
 
     def test_mixture_endpoints(self):
         mu = 2.1
         ind = output_joint_distribution(SourceModel.indistinguishable_pair(), mu)
         mix1 = output_joint_distribution(SourceModel.partial_mixture(1.0), mu)
-        for key in ind.probs:
-            assert abs(ind.probs[key] - mix1.probs[key]) <= 1e-12
+        assert np.max(np.abs(ind.probs - mix1.probs)) <= 1e-12
         routed = output_joint_distribution(SourceModel.distinguishable_pair(), mu)
         mix0 = output_joint_distribution(SourceModel.partial_mixture(0.0), mu)
-        for key in routed.probs:
-            assert abs(routed.probs[key] - mix0.probs[key]) <= 1e-12
+        assert np.max(np.abs(routed.probs - mix0.probs)) <= 1e-12
 
     @pytest.mark.parametrize(
         "source",
@@ -215,14 +219,23 @@ class TestJointDistribution:
         dist = output_joint_distribution(source, 1.9)
         assert dist.truncation_mass >= 0.999
         assert dist.truncation_mass <= 1.0 + 1e-12
-        for (m, n), p in dist.probs.items():
-            assert 0.0 <= p <= 1.0
-            assert abs(p - dist.prob((n, m))) <= 1e-12
+        assert np.all((dist.probs >= 0.0) & (dist.probs <= 1.0))
+        assert np.max(np.abs(dist.probs - dist.probs.T)) <= 1e-12
+
+    @pytest.mark.parametrize("label", ["single", "indist", "dist", "mix:0.6"])
+    def test_table_is_a_read_only_triangle(self, label):
+        dist = output_joint_distribution(SourceModel.from_label(label), 2.1)
+        bound = truncation_bound(2.1)
+        assert dist.probs.shape == (bound + 1, bound + 1)
+        m, n = np.indices(dist.probs.shape)
+        assert np.all(dist.probs[m + n > bound] == 0.0)
+        with pytest.raises(ValueError):
+            dist.probs[0, 0] = 0.5
 
     def test_single_marginal_is_half_mean_poisson(self):
         mu = 1.9
         dist = output_joint_distribution(SourceModel.single(), mu, TIGHT)
-        marginal = dist.marginal_first()
+        marginal = dist.probs.sum(axis=1)
         for m in range(6):
             assert marginal[m] == pytest.approx(poisson_pmf(mu / 2, m), abs=1e-8)
 
