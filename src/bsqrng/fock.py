@@ -2,6 +2,9 @@
 
 Weak coherent inputs with uniformly random phases are diagonal in photon
 number, so everything reduces to Poisson-weighted Fock-state transforms.
+The splitter's transform is built once per input photon total t: row m of a
+(t+1) x (t+1) array is the output law of the input (m, t - m), taken from
+exact integer Krawtchouk coefficients, so it stays unitary at any total.
 Supported source configurations: a single weak coherent state plus vacuum,
 two indistinguishable weak coherent states (interfering), two mutually
 distinguishable ones (no interference), and a convex mixture of the last two.
@@ -21,7 +24,8 @@ from .special import poisson_cdf
 
 _LN2 = math.log(2.0)
 
-#: Hard cap on the total photon number accepted by the splitter transform.
+#: Largest input total ``bs_output_amplitudes`` accepts. It bounds the cost of
+#: a call, not its precision: the splitter rows are exact at every total.
 MAX_INPUT_TOTAL = 200
 
 
@@ -164,60 +168,62 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
 
-@lru_cache(maxsize=None)
-def _bs_amplitudes_array(m: int, n: int) -> np.ndarray:
-    """Output amplitudes over M = 0..m+n for the Fock input (m, n).
+@lru_cache(maxsize=1)
+def _krawtchouk_rows(total: int) -> np.ndarray:
+    """Integer splitter coefficients of one input total, as Python ints.
 
-    The splitter maps a -> (c + j d)/sqrt(2) and b -> (j c + d)/sqrt(2);
-    expanding the binomials and collecting creation operators gives, for each
-    (u, v) term, the output ket (m - u + v, n - v + u) with coefficient
-    j^(u+v) sqrt(m! n! M! N!) / (2^((m+n)/2) (m-u)! u! (n-v)! v!).
-    Coefficients are accumulated coherently per output ket, with factorials
-    handled in log space and the j^(u+v) phase tracked separately.
+    Entry [m, M] is the x^M coefficient K of (1 - x)^m (1 + x)^(total - m),
+    the Krawtchouk polynomial of the splitter's Fock transform (Campos, Saleh
+    & Teich, Phys. Rev. A 40, 1371, 1989). Row 0 is (1 + x) times row 0 of
+    the total below and row m >= 1 is (1 - x) times its row m - 1. Only the
+    last total is kept, as callers walk totals upwards.
     """
-    total = m + n
-    lf = _log_factorials(total)
-    u = np.arange(m + 1)[:, None]
-    v = np.arange(n + 1)[None, :]
-    out_m = m - u + v
-    log_coef = (
-        0.5 * (lf[m] + lf[n] + lf[out_m] + lf[total - out_m])
-        - 0.5 * total * _LN2
-        - lf[m - u]
-        - lf[u]
-        - lf[n - v]
-        - lf[v]
-    )
-    phase = np.array([1.0, 1.0j, -1.0, -1.0j])[(u + v) % 4]
-    amplitudes = np.zeros(total + 1, dtype=complex)
-    np.add.at(amplitudes, out_m.ravel(), (phase * np.exp(log_coef)).ravel())
-    return amplitudes
+    if total == 0:
+        return np.ones((1, 1), dtype=object)
+    below = _krawtchouk_rows(total - 1)
+    rows = np.zeros((total + 1, total + 1), dtype=object)
+    rows[0, :-1] = below[0]
+    rows[0, 1:] += below[0]
+    rows[1:, :-1] = below
+    rows[1:, 1:] -= below
+    return rows
 
 
 @lru_cache(maxsize=None)
-def _bs_probabilities_array(m: int, n: int) -> np.ndarray:
-    """|amplitude|^2 over M = 0..m+n for the interfering transform."""
-    return np.abs(_bs_amplitudes_array(m, n)) ** 2
+def _interfering_rows(total: int) -> np.ndarray:
+    """Interfering splitter rows of one input total, read-only.
+
+    Row m is the output law p[m, M], M = 0..total, of the input
+    (m, total - m): |<M, total - M|m, total - m>|^2 =
+    C(total, m) K^2 / (C(total, M) 2^total). By the duality
+    C(total, m) K[m, M] = C(total, M) K[M, m] that is K[m, M] K[M, m] / 2^total,
+    and one int-by-int true division rounds it correctly.
+    """
+    k = _krawtchouk_rows(total)
+    rows = ((k * k.T) / (1 << total)).astype(float)
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=None)
-def _routing_probabilities_array(m: int, n: int) -> np.ndarray:
-    """Output distribution over M for independent 50/50 routing of each photon.
+def _routed_rows(total: int) -> np.ndarray:
+    """Routed splitter rows of one input total, read-only.
 
-    Each arm splits binomially; the output count in the first mode is the
-    convolution Binomial(m, 1/2) * Binomial(n, 1/2). This is the
+    Each photon takes either output with probability 1/2 on its own, so the
+    first output holds Binomial(total, 1/2) photons whatever the input split
+    (Vandermonde's identity): every row is that one binomial row. This is the
     no-interference transform used for mutually distinguishable inputs.
     """
-    pm = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float) / 2.0**m
-    pn = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float) / 2.0**n
-    return np.convolve(pm, pn)
+    binomial = [math.comb(total, M) / (1 << total) for M in range(total + 1)]
+    return np.broadcast_to(np.array(binomial), (total + 1, total + 1))
 
 
 def bs_output_amplitudes(input_pair: OccupationPair | tuple[int, int]) -> np.ndarray:
     """Beam-splitter transform of one Fock input (m, n).
 
     Entry M of the returned complex array is the amplitude of the output ket
-    (M, m + n - M), for M = 0..m+n; interference nulls are exactly zero.
+    (M, m + n - M), for M = 0..m+n; interference nulls are exactly zero. With
+    a -> (c + j d)/sqrt(2), b -> (j c + d)/sqrt(2) it is j^(M+m) sign(K) sqrt(p).
     """
     pair = OccupationPair(*input_pair)
     if pair.first < 0 or pair.second < 0:
@@ -227,7 +233,10 @@ def bs_output_amplitudes(input_pair: OccupationPair | tuple[int, int]) -> np.nda
         raise OverflowError(
             f"input total {total} exceeds the supported bound {MAX_INPUT_TOTAL}"
         )
-    return _bs_amplitudes_array(pair.first, pair.second).copy()
+    m = pair.first
+    phase = np.array([1.0, 1.0j, -1.0, -1.0j])[(np.arange(total + 1) + m) % 4]
+    sign = np.sign(_krawtchouk_rows(total)[m]).astype(float)
+    return phase * sign * np.sqrt(_interfering_rows(total)[m])
 
 
 def output_joint_distribution(
@@ -258,13 +267,13 @@ def output_joint_distribution(
     if kind is SourceKind.SINGLE:
         probs = weights
     elif kind is SourceKind.INDISTINGUISHABLE:
-        probs = _transformed(weights, _bs_probabilities_array)
+        probs = _transformed(weights, _interfering_rows)
     elif kind is SourceKind.DISTINGUISHABLE:
-        probs = _transformed(weights, _routing_probabilities_array)
+        probs = _transformed(weights, _routed_rows)
     else:
         w = source.overlap
-        interfering = _transformed(weights, _bs_probabilities_array)
-        routed = _transformed(weights, _routing_probabilities_array)
+        interfering = _transformed(weights, _interfering_rows)
+        routed = _transformed(weights, _routed_rows)
         probs = w * interfering + (1.0 - w) * routed
 
     probs.setflags(write=False)
@@ -288,20 +297,14 @@ def _arm_weights(mu: float, bound: int) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=None)
-def _sector_rows(rows, total: int) -> np.ndarray:
-    """Row m is ``rows(m, total - m)``: output distributions of one input total."""
-    return np.array([rows(m, total - m) for m in range(total + 1)])
-
-
 def _transformed(weights: np.ndarray, rows) -> np.ndarray:
-    """Output table of inputs weighted by ``weights`` through the splitter ``rows``.
+    """Output table of inputs weighted by ``weights`` through splitter rows.
 
     Photon number is conserved, so each input total t fills the output
-    anti-diagonal m + n = t with the weighted sum of its sector's rows.
+    anti-diagonal m + n = t with the weighted sum of the rows ``rows(t)``.
     """
     out = np.zeros_like(weights)
     for t in range(len(weights)):
         m = np.arange(t + 1)
-        out[m, t - m] = (weights[m, t - m][:, None] * _sector_rows(rows, t)).sum(axis=0)
+        out[m, t - m] = (weights[m, t - m][:, None] * rows(t)).sum(axis=0)
     return out

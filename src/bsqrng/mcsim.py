@@ -25,8 +25,8 @@ from .fock import (
     OccupationPair,
     SourceKind,
     SourceModel,
-    _bs_probabilities_array,
-    _routing_probabilities_array,
+    _interfering_rows,
+    _routed_rows,
 )
 
 _UNIFORMS_PER_GATE = 8  # two Philox blocks of four 64-bit outputs each
@@ -216,9 +216,9 @@ class _GuideTable:
 class _SamplerTables:
     """Precomputed inverse-CDF tables for one configuration.
 
-    Splitter outcome rows are laid out per input pair (m, n); a mixture
-    stacks the routed rows below the interfering ones. The tables are built
-    once per run and amortize over millions of gates.
+    Splitter CDF rows are laid out per input pair (m, n), filled total by
+    total; a mixture stacks the routed rows below the interfering ones. The
+    tables are built once per run and amortize over millions of gates.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -234,19 +234,18 @@ class _SamplerTables:
         self._row_stride = max_arm_b + 1
         self.n_pairs = (max_arm_a + 1) * self._row_stride
 
-        def build(rows_fn):
+        def build(rows):
             table = np.ones((max_arm_a + 1, max_arm_b + 1, width))
-            for m in range(max_arm_a + 1):
-                for n in range(max_arm_b + 1):
-                    row = np.cumsum(rows_fn(m, n))
-                    table[m, n, : len(row)] = row
+            for t in range(width):
+                m = np.arange(max(0, t - max_arm_b), min(t, max_arm_a) + 1)
+                table[m, t - m, : t + 1] = np.cumsum(rows(t)[m], axis=1)
             return table.reshape(-1, width)
 
         parts = []
         if kind in (SourceKind.INDISTINGUISHABLE, SourceKind.MIXTURE):
-            parts.append(build(_bs_probabilities_array))
+            parts.append(build(_interfering_rows))
         if kind is not SourceKind.INDISTINGUISHABLE:
-            parts.append(build(_routing_probabilities_array))
+            parts.append(build(_routed_rows))
         self.splitter = _GuideTable(np.concatenate(parts))
 
         self.click0, self.click1 = cfg.detectors.click_probabilities(width)
@@ -300,14 +299,12 @@ def sample_bs_outcome(
     """
     pair = OccupationPair(*input_pair)
     if source.kind is SourceKind.INDISTINGUISHABLE:
-        probs = _bs_probabilities_array(pair.first, pair.second)
+        rows = _interfering_rows
     elif source.kind is SourceKind.MIXTURE:
-        if rng.random() < source.overlap:
-            probs = _bs_probabilities_array(pair.first, pair.second)
-        else:
-            probs = _routing_probabilities_array(pair.first, pair.second)
+        rows = _interfering_rows if rng.random() < source.overlap else _routed_rows
     else:
-        probs = _routing_probabilities_array(pair.first, pair.second)
+        rows = _routed_rows
+    probs = rows(pair.total())[pair.first]
     out_m = int(_inverse_cdf(np.cumsum(probs), np.array([rng.random()]))[0])
     return OccupationPair(out_m, pair.total() - out_m)
 

@@ -74,6 +74,20 @@ class TestSweep:
             ("2e-200", "single"), ("2e-200", "indist"),
         ]
 
+    def test_bright_end_completes(self, capsys):
+        # Above total ~60 the splitter rows must stay exact, or p leaves [0, 1].
+        code, out, _ = run_cli(
+            capsys, "sweep", "--mu-eta-max", "100", "--points", "5",
+            "--source", "single,indist,dist,mix:0.5",
+        )
+        assert code == 0
+        assert "#" not in out
+        _, rows = parse_sweep_csv(out)
+        assert len(rows) == 20
+        for row in rows:
+            for key in ("p_gen", "p_disc", "p_none"):
+                assert 0.0 <= float(row[key]) <= 1.0, row
+
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 """Photon statistics of the splitter: transform, distributions, contrast."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from bsqrng.fock import (
     MAX_INPUT_TOTAL,
     SourceModel,
     TruncationPolicy,
+    _interfering_rows,
+    _routed_rows,
     bs_output_amplitudes,
     output_joint_distribution,
     truncation_bound,
@@ -95,6 +98,35 @@ class TestTruncationBound:
             TruncationPolicy(0.0)
 
 
+def splitter_oracle(m, n):
+    """Exact |amplitude|^2 and unit phase of each output ket (M, m + n - M).
+
+    Expands a^m b^n with a -> (c + j d)/sqrt(2) and b -> (j c + d)/sqrt(2):
+    taking j d from u of the m factors and j c from v of the n factors gives
+    the ket (m - u + v, n - v + u) with weight j^(u+v) C(m, u) C(n, v). The
+    Gaussian-integer sum S over one ket makes the Krawtchouk coefficient, and
+    |amplitude|^2 = |S|^2 M! N! / (m! n! 2^(m+n)) as a Fraction.
+    """
+    total = m + n
+    powers = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    probs, phases = [], []
+    for out_m in range(total + 1):
+        re = im = 0
+        for u in range(m + 1):
+            v = out_m - m + u
+            if 0 <= v <= n:
+                w = math.comb(m, u) * math.comb(n, v)
+                re += powers[(u + v) % 4][0] * w
+                im += powers[(u + v) % 4][1] * w
+        size = re * re + im * im
+        probs.append(Fraction(
+            size * math.factorial(out_m) * math.factorial(total - out_m),
+            math.factorial(m) * math.factorial(n) * 2**total,
+        ))
+        phases.append(complex(re, im) / math.sqrt(size) if size else 0.0)
+    return probs, np.array(phases)
+
+
 class TestSplitterTransform:
     # Entry M of an amplitude array is the output ket (M, total - M).
 
@@ -127,6 +159,22 @@ class TestSplitterTransform:
         amp = bs_output_amplitudes((m, n))
         assert np.sum(np.abs(amp) ** 2) == pytest.approx(1.0, abs=1e-12)
         assert len(amp) == m + n + 1
+
+    def test_rows_sum_to_one_at_every_total(self):
+        for total in range(MAX_INPUT_TOTAL + 1):
+            for m in range(total + 1):
+                amp = bs_output_amplitudes((m, total - m))
+                assert abs(np.sum(np.abs(amp) ** 2) - 1.0) <= 1e-13, (m, total - m)
+            for rows in (_interfering_rows(total), _routed_rows(total)):
+                assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-13, total
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 0), (3, 5), (10, 10), (59, 59), (100, 100)])
+    def test_rows_match_exact_oracle(self, m, n):
+        probs, phases = splitter_oracle(m, n)
+        row = _interfering_rows(m + n)[m]
+        assert row.tolist() == [float(p) for p in probs]
+        amp = bs_output_amplitudes((m, n))
+        assert np.abs(amp - phases * np.sqrt(row)).max() <= 1e-15
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):

@@ -254,6 +254,16 @@ class TestAgreementWithAnalytics:
         assert abs(tally.p_gen - analytic.p_gen) < 4 * tally.p_gen_stderr()
         assert abs(tally.p_disc - analytic.p_disc) < 4 * tally.p_disc_stderr()
 
+    def test_bright_interfering_pair(self):
+        # At mu 90 the tables reach input totals near 190, where only exact
+        # splitter rows keep the sampled law unitary.
+        cfg = SimConfig(seed=2024, n_gates=200_000, mu=90.0, source=INDIST)
+        tally, _ = run(cfg)
+        analytic = outcome_probabilities(
+            output_joint_distribution(INDIST, 90.0, TruncationPolicy(1e-12))
+        )
+        assert abs(tally.p_gen - analytic.p_gen) < 5 * tally.p_gen_stderr()
+
     def test_vacuum_dominated_limit(self):
         cfg = SimConfig(seed=9, n_gates=10_000, mu=1e-6, source=INDIST)
         tally, _ = run(cfg)
