@@ -168,7 +168,9 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1) for i in range(n + 1)])
 
 
-@lru_cache(maxsize=1)
+_krawtchouk_last: list[tuple[int, np.ndarray]] = []  # the last total built
+
+
 def _krawtchouk_rows(total: int) -> np.ndarray:
     """Integer splitter coefficients of one input total, as Python ints.
 
@@ -176,17 +178,26 @@ def _krawtchouk_rows(total: int) -> np.ndarray:
     the Krawtchouk polynomial of the splitter's Fock transform (Campos, Saleh
     & Teich, Phys. Rev. A 40, 1371, 1989). Row 0 is (1 + x) times row 0 of
     the total below and row m >= 1 is (1 - x) times its row m - 1. Only the
-    last total is kept, as callers walk totals upwards.
+    last total is kept, as callers walk totals upwards; a new total is built
+    in a loop from it, or from total 0 when it lies above the one asked for.
     """
-    if total == 0:
-        return np.ones((1, 1), dtype=object)
-    below = _krawtchouk_rows(total - 1)
-    rows = np.zeros((total + 1, total + 1), dtype=object)
-    rows[0, :-1] = below[0]
-    rows[0, 1:] += below[0]
-    rows[1:, :-1] = below
-    rows[1:, 1:] -= below
+    if _krawtchouk_last and _krawtchouk_last[0][0] <= total:
+        t, rows = _krawtchouk_last[0]
+    else:
+        t, rows = 0, np.ones((1, 1), dtype=object)
+    while t < total:
+        t, below = t + 1, rows
+        rows = np.zeros((t + 1, t + 1), dtype=object)
+        rows[0, :-1] = below[0]
+        rows[0, 1:] += below[0]
+        rows[1:, :-1] = below
+        rows[1:, 1:] -= below
+    _krawtchouk_last[:] = [(t, rows)]
     return rows
+
+
+# Same interface as the lru_cache'd functions, so a cold start clears it too.
+_krawtchouk_rows.cache_clear = _krawtchouk_last.clear
 
 
 @lru_cache(maxsize=None)

@@ -91,12 +91,57 @@ class BitStream:
         return cls(payload, length, provenance)
 
 
+# Elements per pass: outcome codes per slice in ``events_to_bits``, bits per
+# slice in ``von_neumann`` and ``stream_stats``. Each pass's temporaries stay
+# near cache size, so no stage holds a full-length unpacked or widened array.
+_CHUNK = 1 << 16
+
+# Ones in each byte value.
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8
+)
+
+
+class _Packer:
+    """MSB-first packing of bit chunks, carrying a partial byte into the next."""
+
+    def __init__(self):
+        self._parts: list[bytes] = []
+        self._carry = np.empty(0, dtype=np.uint8)
+        self.length = 0
+
+    def add(self, bits: np.ndarray) -> None:
+        self.length += bits.size
+        if self._carry.size:
+            bits = np.concatenate((self._carry, bits))
+        whole = bits.size - bits.size % 8
+        self._parts.append(np.packbits(bits[:whole]).tobytes())
+        self._carry = bits[whole:].copy()
+
+    def stream(self, provenance: Mapping[str, str] | None) -> BitStream:
+        data = b"".join([*self._parts, np.packbits(self._carry).tobytes()])
+        return BitStream(data, self.length, dict(provenance or {}))
+
+
+def _byte_slices(stream: BitStream):
+    """The payload in slices of ``_CHUNK`` bits, padding bits excluded: each
+    slice as (uint8 byte array, number of its bits that belong to the stream)."""
+    payload = np.frombuffer(stream.data, dtype=np.uint8)
+    step = _CHUNK // 8
+    for lo in range(0, payload.size, step):
+        yield payload[lo : lo + step], min(8 * step, stream.length - 8 * lo)
+
+
 def events_to_bits(
     codes: np.ndarray, provenance: Mapping[str, str] | None = None
 ) -> BitStream:
     """Keep the valid gates, in order: bit-0 clicks give 0, bit-1 clicks give 1."""
-    valid = codes[(codes == Outcome.BIT0) | (codes == Outcome.BIT1)]
-    return BitStream.from_bits(valid - Outcome.BIT0, provenance)
+    packer = _Packer()
+    for lo in range(0, codes.size, _CHUNK):
+        # BIT0 -> 0 and BIT1 -> 1; NONE wraps to 255 and COLLISION gives 2.
+        d = np.asarray(codes[lo : lo + _CHUNK], dtype=np.uint8) - np.uint8(Outcome.BIT0)
+        packer.add(d[d < 2])
+    return packer.stream(provenance)
 
 
 def von_neumann(stream: BitStream) -> BitStream:
@@ -105,16 +150,17 @@ def von_neumann(stream: BitStream) -> BitStream:
     Consumes non-overlapping bit pairs in order: (0,1) emits 0, (1,0) emits 1,
     equal pairs emit nothing. A trailing unpaired bit is dropped. On
     independent identically biased input the output is exactly symmetric.
+    A byte holds four whole pairs, so no pair crosses a slice of the payload.
     """
-    bits = stream.bits()
-    pairs = bits[: 2 * (len(bits) // 2)].reshape(-1, 2)
-    keep = pairs[:, 0] != pairs[:, 1]
-    out = pairs[keep, 0]
+    packer = _Packer()
+    for chunk, n_bits in _byte_slices(stream):
+        bits = np.unpackbits(chunk)[: n_bits - n_bits % 2]
+        first, second = bits[0::2], bits[1::2]
+        packer.add(first[first != second])
     provenance = dict(stream.provenance)
     provenance["debiased"] = "von-neumann"
     provenance["raw_length"] = str(stream.length)
-    return BitStream.from_bits(out, provenance)
-
+    return packer.stream(provenance)
 
 
 @dataclass(frozen=True)
@@ -126,7 +172,12 @@ class StreamStats:
 
 def stream_stats(stream: BitStream) -> StreamStats:
     """Exact counts; extraction efficiency is reported for debiased streams."""
-    ones = int(stream.bits().sum()) if stream.length else 0
+    ones = 0
+    for chunk, n_bits in _byte_slices(stream):
+        whole = n_bits // 8
+        ones += int(_POPCOUNT[chunk[:whole]].sum())
+        if n_bits % 8:
+            ones += int(_POPCOUNT[chunk[whole] >> (8 - n_bits % 8)])
     ones_fraction = ones / stream.length if stream.length else None
     efficiency = None
     raw = stream.provenance.get("raw_length")

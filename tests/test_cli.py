@@ -309,6 +309,16 @@ class TestExitCodes:
         assert "sink" not in err
         assert not out.exists()
 
+    def test_photon_total_cap_maps_to_two(self, capsys, tmp_path):
+        from bsqrng.mcsim import MAX_TABLE_TOTAL
+
+        out = tmp_path / "x.bits"
+        code, stdout, err = run_cli(capsys, "generate", "--mu", "1000", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error:") and "mu 1000" in err
+        assert str(MAX_TABLE_TOTAL) in err
+        assert not out.exists()
+
     def test_usage_errors_map_to_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["sweep", "--points", "not-a-number"])

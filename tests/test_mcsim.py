@@ -9,9 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsqrng.detection import DetectorPair, outcome_probabilities
-from bsqrng.fock import SourceModel, TruncationPolicy, output_joint_distribution
+from bsqrng.fock import (
+    SourceModel,
+    TruncationPolicy,
+    _interfering_rows,
+    _krawtchouk_rows,
+    output_joint_distribution,
+)
 from bsqrng.mcsim import (
     MAX_GATES,
+    MAX_TABLE_TOTAL,
     EventTally,
     Outcome,
     ResourceLimitError,
@@ -215,6 +222,17 @@ class TestSplitterSampling:
             assert out.total() == m + n
             assert out.first >= 0 and out.second >= 0
 
+    def test_cold_high_total_builds_in_a_loop(self):
+        # A cold total of 600 once recursed once per total and overflowed
+        # Python's recursion limit.
+        _krawtchouk_rows.cache_clear()
+        _interfering_rows.cache_clear()
+        out = sample_bs_outcome((300, 300), INDIST, np.random.default_rng(8))
+        assert out.total() == 600
+        assert np.abs(_interfering_rows(600).sum(axis=1) - 1.0).max() <= 1e-13
+        # A total below the last one built starts again from total 0.
+        assert _krawtchouk_rows(2).tolist() == [[1, 2, 1], [1, 0, -1], [1, -2, 1]]
+
     def test_interfering_two_photon_input_never_collides(self):
         # even with perfect detectors the (1,1) input cannot produce a collision
         rng = np.random.default_rng(5)
@@ -317,6 +335,19 @@ class TestRunInterface:
         # The outcome array alone would take 256 MB.
         assert peak < 1 << 20
         assert "sink" not in str(info.value)
+
+    @pytest.mark.parametrize("mu", [1000.0, 1e12])
+    def test_photon_total_cap_checked_before_any_table(self, monkeypatch, mu):
+        import bsqrng.mcsim as mcsim
+
+        def no_tables(*args, **kwargs):
+            raise AssertionError("tables built before the photon total was checked")
+
+        monkeypatch.setattr(mcsim, "_GuideTable", no_tables)
+        monkeypatch.setattr(mcsim, "_interfering_rows", no_tables)
+        with pytest.raises(OverflowError, match=str(MAX_TABLE_TOTAL)) as info:
+            run(make_cfg(mu=mu))
+        assert f"mu {mu:g}" in str(info.value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

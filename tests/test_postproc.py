@@ -1,12 +1,15 @@
 """Bit extraction, von Neumann debiasing, packing and the bit-file format."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bsqrng import postproc
 from bsqrng.mcsim import Outcome
 from bsqrng.postproc import (
     BitStream,
@@ -170,3 +173,93 @@ class TestStreamStats:
         out = von_neumann(BitStream.from_bits(bits))
         stats = stream_stats(out)
         assert stats.extraction_efficiency == pytest.approx(0.2499, abs=0.005)
+
+
+# Whole-array references for the chunked stages.
+
+
+def events_to_bits_reference(codes):
+    codes = np.asarray(codes, dtype=np.uint8)
+    valid = codes[(codes == Outcome.BIT0) | (codes == Outcome.BIT1)]
+    return BitStream.from_bits(valid - Outcome.BIT0)
+
+
+def von_neumann_reference(stream):
+    bits = stream.bits()
+    pairs = bits[: 2 * (len(bits) // 2)].reshape(-1, 2)
+    return BitStream.from_bits(pairs[pairs[:, 0] != pairs[:, 1], 0])
+
+
+def ones_reference(stream):
+    return int(stream.bits().sum())
+
+
+def runs_of(values):
+    """Concatenated runs of one value each: long runs give chunks with no
+    valid gate (codes 0 and 3) and runs of all-equal pairs (bits)."""
+    return st.lists(st.tuples(values, st.integers(1, 40)), max_size=12).map(
+        lambda runs: [v for v, n in runs for _ in range(n)]
+    )
+
+
+code_lists = st.one_of(st.lists(st.integers(0, 3), max_size=300), runs_of(st.integers(0, 3)))
+chunk_sizes = st.sampled_from([8, 16, 24, 64])
+
+
+def with_padding(bits, pad):
+    """The stream of ``bits`` with ``pad`` in its zero-padding bits, as a file
+    written elsewhere may hold; only the first ``length`` bits count."""
+    stream = BitStream.from_bits(bits)
+    if not stream.length % 8:
+        return stream
+    data = bytearray(stream.data)
+    data[-1] |= pad & (0xFF >> (stream.length % 8))
+    return BitStream(bytes(data), stream.length)
+
+
+class TestChunkBoundaries:
+    @given(code_lists, chunk_sizes)
+    def test_events_to_bits_matches_whole_array(self, codes, chunk):
+        with mock.patch.object(postproc, "_CHUNK", chunk):
+            stream = events_to_bits(np.array(codes, dtype=np.uint8))
+        assert stream == events_to_bits_reference(codes)
+
+    @given(st.one_of(bit_lists, runs_of(st.integers(0, 1))), st.integers(0, 255), chunk_sizes)
+    def test_von_neumann_and_stats_match_whole_array(self, bits, pad, chunk):
+        stream = with_padding(bits, pad)
+        with mock.patch.object(postproc, "_CHUNK", chunk):
+            out = von_neumann(stream)
+            stats = stream_stats(stream)
+        expected = von_neumann_reference(stream)
+        assert (out.data, out.length) == (expected.data, expected.length)
+        assert stats.length == stream.length
+        if stream.length:
+            assert stats.ones_fraction == ones_reference(stream) / stream.length
+
+    @pytest.mark.parametrize("length", range(3 * 16 + 9))
+    def test_every_length_across_three_chunks(self, length, monkeypatch):
+        # Every length mod 8, odd and even, up to past three 16-bit chunks.
+        monkeypatch.setattr(postproc, "_CHUNK", 16)
+        rng = np.random.default_rng(length)
+        codes = rng.integers(0, 4, 2 * length, dtype=np.uint8)
+        raw = events_to_bits(codes)
+        assert raw == events_to_bits_reference(codes)
+        stream = with_padding(rng.integers(0, 2, length), 0xFF)
+        out = von_neumann(stream)
+        expected = von_neumann_reference(stream)
+        assert (out.data, out.length) == (expected.data, expected.length)
+        ones = ones_reference(stream)
+        assert stream_stats(stream).ones_fraction == (ones / length if length else None)
+
+
+def test_extraction_and_debiasing_stay_in_bounded_memory():
+    # 2**21 codes take 2 MB; a stage holding a full-length unpacked or
+    # widened array would take at least that again (int64 bits: 8 MB).
+    codes = np.random.default_rng(21).integers(0, 4, 1 << 21, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        von_neumann(events_to_bits(codes))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
