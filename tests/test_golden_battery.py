@@ -4,7 +4,8 @@ Each digest is the SHA-256 of ``run_battery(...).to_csv()`` for one seeded
 input. The CSV writes every p-value with ``repr``, so a kernel rewrite that
 moves any p-value by one ulp, or flips a pass flag, changes a digest. The
 block sizes 1 000, 20 000 and 750 000 select the three longest-run tables
-(sub-blocks of 8, 128 and 10 000 bits).
+(sub-blocks of 8, 128 and 10 000 bits). A second digest per input pins the
+text report: its header, verdicts, pass fractions and not-run list.
 """
 
 import hashlib
@@ -57,6 +58,17 @@ GOLDEN_REPORTS = {
     ),
 }
 
+# name -> SHA-256 of the text report of the same input
+GOLDEN_TEXT = {
+    "uniform-1000": "a9d21737f0b242e6e36cf45cf09757d13d1b848c08be3089b86f8231bc9e6d61",
+    "uniform-20000": "129fcf25d819cbbc71baaf8b8427c10bb51a1758dacf09fbee02f5d877fc7d5d",
+    "uniform-750000": "8a40f3b0600ce4ddfb077104b6e3b4ea23025f62e9074e503a939a4b6800f896",
+    "biased-0.45-20000": "d5fc283159fdd965f0cd2ca17256eab2cc3515aadad535fb7c33760b94445d35",
+    # every p-value of these two prints as 0.000000
+    "zeros-1000": "d08912fdf73e681fbfa303fa3c62185873e395475afedb53076fac4a3d2375a7",
+    "ones-1000": "d08912fdf73e681fbfa303fa3c62185873e395475afedb53076fac4a3d2375a7",
+}
+
 # `bsqrng test --format csv` on a binary bit file of 3 blocks and 4 321 bits more.
 GOLDEN_TEST_CSV = "69e738a87843d82a6dd1996bcb254f6e067b0c07ce31c3c37b8d4d89037edfc5"
 
@@ -70,6 +82,13 @@ def test_battery_report_digest(name):
     make_bits, block_size, expected = GOLDEN_REPORTS[name]
     report = run_battery(make_bits(), block_size)
     assert _digest(report.to_csv().encode()) == expected
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_TEXT))
+def test_battery_text_digest(name):
+    make_bits, block_size, _ = GOLDEN_REPORTS[name]
+    report = run_battery(make_bits(), block_size)
+    assert _digest(report.to_text().encode()) == GOLDEN_TEXT[name]
 
 
 def test_cli_test_csv_digest(tmp_path, capsys):
