@@ -23,7 +23,7 @@ from .detection import (
     outcome_probabilities,
     throughput,
 )
-from .fock import SourceModel, TruncationError, output_joint_distribution
+from .fock import SourceModel, output_joint_distribution
 from .mcsim import SimConfig, run
 from .postproc import BitStream, events_to_bits, stream_stats, von_neumann
 from .randtests import parse_report_csv, run_battery
@@ -88,28 +88,20 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
         else:
             contrast_error = ""
         for source in spec.sources:
-            try:
-                probs = outcome_probabilities(
-                    output_joint_distribution(source, float(mu_eta))
+            probs = outcome_probabilities(
+                output_joint_distribution(source, float(mu_eta))
+            )
+            rows.append(
+                SweepRow(
+                    float(mu_eta),
+                    source.label,
+                    probs.p_gen,
+                    probs.p_disc,
+                    probs.p_none,
+                    contrast,
+                    contrast_error,
                 )
-                rows.append(
-                    SweepRow(
-                        float(mu_eta),
-                        source.label,
-                        probs.p_gen,
-                        probs.p_disc,
-                        probs.p_none,
-                        contrast,
-                        contrast_error,
-                    )
-                )
-            except TruncationError as exc:
-                rows.append(
-                    SweepRow(
-                        float(mu_eta), source.label,
-                        math.nan, math.nan, math.nan, contrast, str(exc),
-                    )
-                )
+            )
     return rows
 
 
@@ -259,18 +251,30 @@ _CONFIG_CASTS = {
     "spacing": str,
 }
 
+# Options with a fixed set of values, for flags and configuration alike.
+_CHOICES = {"spacing": ("log", "linear"), "format": ("csv", "text")}
+
 
 def _apply_config(args: argparse.Namespace, config_path: str | None) -> None:
     """Fill unset options from the configuration file, if one is named."""
     path = config_path or os.environ.get(_ENV_CONFIG)
     if not path:
         return
+    flags = {key for key, value in vars(args).items() if value is not None}
+    # A form of the source mean given as flags replaces the other form from the file.
+    if "mu_eta" in flags:
+        flags |= {"mu", "eta0", "eta1"}
+    elif flags & {"mu", "eta0", "eta1"}:
+        flags.add("mu_eta")
     for key, raw in _read_config_file(path).items():
         cast = _CONFIG_CASTS.get(key)
         if cast is None:
             raise ValueError(f"unknown configuration key {key!r}")
-        if getattr(args, key, None) is None:
-            setattr(args, key, cast(raw))
+        value = cast(raw)
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ValueError(f"configuration {key}={value!r} is not one of {_CHOICES[key]}")
+        if key not in flags:
+            setattr(args, key, value)
 
 
 def _resolved(args: argparse.Namespace, **defaults):
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mu-eta-min", type=float, default=None)
     p_sweep.add_argument("--mu-eta-max", type=float, default=None)
     p_sweep.add_argument("--points", type=int, default=None)
-    p_sweep.add_argument("--spacing", choices=["log", "linear"], default=None)
+    p_sweep.add_argument("--spacing", choices=_CHOICES["spacing"], default=None)
     p_sweep.add_argument("--source", dest="source", default=None,
                          help="comma-separated list: single,indist,dist,mix:<overlap>")
     p_sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--block-size", dest="block_size", type=int, default=None)
     p_test.add_argument("--alpha", type=float, default=None, help="significance level")
     p_test.add_argument("--out", default=None, help="report path (default stdout)")
-    p_test.add_argument("--format", choices=["csv", "text"], default=None)
+    p_test.add_argument("--format", choices=_CHOICES["format"], default=None)
 
     p_rep = sub.add_parser("report", help="re-render a stored CSV result")
     p_rep.add_argument("input", help="battery report CSV or sweep CSV")
@@ -415,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         return _fail(1, str(exc))
-    except (TruncationError, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         return _fail(2, str(exc))
     except OSError as exc:
         return _fail(3, str(exc))

@@ -32,10 +32,6 @@ MAX_INPUT_TOTAL = 200
 class TruncationError(RuntimeError):
     """Raised when a truncated distribution captures too little probability."""
 
-    def __init__(self, message: str, bound: int):
-        super().__init__(message)
-        self.bound = bound
-
 
 class OccupationPair(NamedTuple):
     """Photon counts in the two spatial modes; the Fock-basis index."""
@@ -143,8 +139,7 @@ class JointPhotonDistribution:
         if self.truncation_mass < _REQUIRED_MASS - _MASS_SLACK:
             raise TruncationError(
                 f"captured probability {self.truncation_mass:.6f} is below "
-                f"{_REQUIRED_MASS} for mu_eff={self.mu_eff}",
-                bound=len(self.probs) - 1,
+                f"{_REQUIRED_MASS} for mu_eff={self.mu_eff}"
             )
         bad = np.argwhere(~((self.probs >= -1e-12) & (self.probs <= 1.0 + 1e-12)))
         if len(bad):

@@ -297,13 +297,6 @@ def _simulate_range(
     return click0.view(np.uint8) | (click1.view(np.uint8) << 1)
 
 
-def sample_gate(cfg: SimConfig, gate_index: int) -> Outcome:
-    """Classify a single gate; identical to the matching entry of a full run."""
-    if not 0 <= gate_index < cfg.n_gates:
-        raise ValueError(f"gate_index {gate_index} outside [0, {cfg.n_gates})")
-    return Outcome(int(_simulate_range(cfg, gate_index, gate_index + 1)[0]))
-
-
 def sample_bs_outcome(
     input_pair: OccupationPair | tuple[int, int],
     source: SourceModel,

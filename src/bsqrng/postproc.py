@@ -3,8 +3,7 @@
 Bits are packed most-significant-bit first within each byte; a final partial
 byte is zero-padded and the true bit count kept in the stream metadata. The
 binary file format is a small header (magic, version, bit length, provenance
-text) followed by the packed payload; a plain ASCII '0'/'1' export is also
-provided for interoperability.
+text) followed by the packed payload.
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ class BitStream:
 
     def bits(self) -> np.ndarray:
         return np.unpackbits(np.frombuffer(self.data, dtype=np.uint8))[: self.length]
-
-    def to_ascii(self) -> str:
-        return "".join("01"[b] for b in self.bits())
 
     @classmethod
     def from_ascii(

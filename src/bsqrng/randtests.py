@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,13 +130,7 @@ def cumulative_sums(bits, direction: str = "forward") -> float:
         raise InsufficientDataError(f"cumulative sums needs at least 2 bits, got {n}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if isinstance(bits, _Block):
-        z = bits.excursions[direction]
-    else:
-        x = 2.0 * b - 1.0
-        if direction == "backward":
-            x = x[::-1]
-        z = int(np.max(np.abs(np.cumsum(x))))
+    z = _block_of(bits, b, 1).excursions[direction]
     # Summation limits in integer arithmetic truncated toward zero, as in
     # the NIST SP 800-22 reference code: (-n/z + 1)/4, (n/z - 1)/4, (-n/z - 3)/4.
     q = n // z
@@ -187,19 +181,14 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(value, minlength=2**m)
 
 
-def _counts(bits, b: np.ndarray, m: int) -> np.ndarray:
-    """Circular m-bit pattern counts of ``b``, shared when ``bits`` is a ``_Block``."""
-    return bits.counts[m] if isinstance(bits, _Block) else _pattern_counts(b, m)
-
-
 class _Block:
     """One validated battery block and the pattern counts and walk its tests share.
 
     ``evaluate_block`` hands this to each public test function, so the bits
-    are checked once per battery run and counted once per block. Counts of
-    every length up to ``max_m`` come from the ``max_m``-bit counts: the
-    circular (m-1)-bit pattern q occurs exactly as often as the m-bit
-    patterns 2q and 2q + 1 together.
+    are checked once per battery run and counted once per block; a test
+    given plain bits builds its own. Counts of every length up to ``max_m``
+    come from the ``max_m``-bit counts: the circular (m-1)-bit pattern q
+    occurs exactly as often as the m-bit patterns 2q and 2q + 1 together.
 
     Both cumulative-sums excursions come from one +-1 walk S_0 = 0, ...,
     S_n = end with extremes ``hi`` and ``lo``: the backward walk's partial
@@ -221,6 +210,11 @@ class _Block:
             self.counts[m] = counts
 
 
+def _block_of(bits, b: np.ndarray, max_m: int) -> _Block:
+    """``bits`` itself if it is a ``_Block``, else a new one over its checked bits ``b``."""
+    return bits if isinstance(bits, _Block) else _Block(b, max_m)
+
+
 def approximate_entropy(bits, m: int = 4) -> float:
     """Entropy gap between overlapping m-bit and (m+1)-bit pattern statistics."""
     b = _as_bits(bits)
@@ -232,8 +226,10 @@ def approximate_entropy(bits, m: int = 4) -> float:
             f"approximate entropy with m={m} needs at least {m + 2} bits, got {n}"
         )
 
+    counts = _block_of(bits, b, m + 1).counts
+
     def phi(length: int) -> float:
-        freq = _counts(bits, b, length) / n
+        freq = counts[length] / n
         freq = freq[freq > 0]
         return float((freq * np.log(freq)).sum())
 
@@ -253,11 +249,13 @@ def serial(bits, m: int = 5) -> tuple[float, float]:
             f"serial with m={m} needs at least {m + 1} bits, got {n}"
         )
 
+    counts = _block_of(bits, b, m).counts
+
     def psi_sq(length: int) -> float:
         if length < 1:
             return 0.0
-        counts = _counts(bits, b, length).astype(float)
-        return (2.0**length / n) * float((counts**2).sum()) - n
+        squares = counts[length].astype(float) ** 2
+        return (2.0**length / n) * float(squares.sum()) - n
 
     delta1 = psi_sq(m) - psi_sq(m - 1)
     delta2 = psi_sq(m) - 2.0 * psi_sq(m - 1) + psi_sq(m - 2)
@@ -267,13 +265,10 @@ def serial(bits, m: int = 5) -> tuple[float, float]:
     )
 
 
-@dataclass(frozen=True)
-class BatteryParams:
-    """Per-test parameters of the battery; valid for blocks of 1e4 bits and up."""
-
-    block_frequency_len: int = 128
-    approximate_entropy_m: int = 4
-    serial_m: int = 5
+# Per-test parameters of the battery; valid for blocks of 1e4 bits and up.
+_BLOCK_FREQUENCY_LEN = 128
+_APPROXIMATE_ENTROPY_M = 4
+_SERIAL_M = 5
 
 
 @dataclass(frozen=True)
@@ -284,20 +279,7 @@ class TestResult:
     passed: bool
 
 
-#: Component result names produced per block, in report order.
-COMPONENTS = (
-    "monobit",
-    "block_frequency",
-    "runs",
-    "longest_run",
-    "cumulative_sums_forward",
-    "cumulative_sums_backward",
-    "approximate_entropy",
-    "serial_1",
-    "serial_2",
-)
-
-#: Logical tests and the components each aggregates over.
+#: Logical tests and the components each aggregates over, in report order.
 LOGICAL_TESTS: dict[str, tuple[str, ...]] = {
     "monobit": ("monobit",),
     "block_frequency": ("block_frequency",),
@@ -307,6 +289,9 @@ LOGICAL_TESTS: dict[str, tuple[str, ...]] = {
     "approximate_entropy": ("approximate_entropy",),
     "serial": ("serial_1", "serial_2"),
 }
+
+#: Component result names produced per block, in report order.
+COMPONENTS = tuple(c for components in LOGICAL_TESTS.values() for c in components)
 
 #: Battery members that are not implemented, listed explicitly in reports.
 NOT_RUN = (
@@ -331,7 +316,6 @@ class TestReport:
     n_blocks: int
     significance: float
     results: tuple[TestResult, ...]
-    not_run: tuple[str, ...] = field(default=NOT_RUN)
 
     def pass_fraction(self) -> dict[str, float]:
         """Fraction of blocks passing each logical test (all components at once)."""
@@ -360,23 +344,23 @@ class TestReport:
             lines.append(f"{r.test} {r.block} {r.p_value:.6f} {verdict}")
         for name, frac in self.pass_fraction().items():
             lines.append(f"pass_fraction {name} {frac:.3f}")
-        for name in self.not_run:
+        for name in NOT_RUN:
             lines.append(f"{name} not_run")
         return "\n".join(lines) + "\n"
 
 
-def evaluate_block(block: np.ndarray, params: BatteryParams) -> dict[str, float]:
+def evaluate_block(block: np.ndarray) -> dict[str, float]:
     """All component p-values for one block of bits already checked by ``_as_bits``."""
-    block = _Block(block, max(params.serial_m, params.approximate_entropy_m + 1))
-    p_serial_1, p_serial_2 = serial(block, params.serial_m)
+    block = _Block(block, max(_SERIAL_M, _APPROXIMATE_ENTROPY_M + 1))
+    p_serial_1, p_serial_2 = serial(block, _SERIAL_M)
     return {
         "monobit": frequency_monobit(block),
-        "block_frequency": block_frequency(block, params.block_frequency_len),
+        "block_frequency": block_frequency(block, _BLOCK_FREQUENCY_LEN),
         "runs": runs(block),
         "longest_run": longest_run_of_ones(block),
         "cumulative_sums_forward": cumulative_sums(block, "forward"),
         "cumulative_sums_backward": cumulative_sums(block, "backward"),
-        "approximate_entropy": approximate_entropy(block, params.approximate_entropy_m),
+        "approximate_entropy": approximate_entropy(block, _APPROXIMATE_ENTROPY_M),
         "serial_1": p_serial_1,
         "serial_2": p_serial_2,
     }
@@ -386,7 +370,6 @@ def run_battery(
     bits,
     block_size: int,
     significance: float = 0.01,
-    params: BatteryParams = BatteryParams(),
 ) -> TestReport:
     """Partition the input into consecutive blocks and run every test on each."""
     b = _as_bits(bits)
@@ -402,7 +385,7 @@ def run_battery(
     results = []
     for blk in range(n_blocks):
         block = b[blk * block_size : (blk + 1) * block_size]
-        for name, p in evaluate_block(block, params).items():
+        for name, p in evaluate_block(block).items():
             results.append(TestResult(name, blk, p, p >= significance))
     return TestReport(block_size, n_blocks, significance, tuple(results))
 

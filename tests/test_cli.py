@@ -6,6 +6,7 @@ import pytest
 
 from bsqrng.cli import SweepSpec, find_optimum, main, sweep
 from bsqrng.fock import SourceModel
+from bsqrng.postproc import BitStream
 
 
 def run_cli(capsys, *argv):
@@ -366,6 +367,54 @@ class TestConfigPrecedence:
             "--gates", "1000", "--out", str(tmp_path / "c.bits"),
         )
         assert code == 1 and "unknown configuration key" in err
+
+    @pytest.mark.parametrize("line, argv", [
+        ("format=xml", ("test", "{bits}", "--block-size", "2048")),
+        ("spacing=cubic", ("sweep", "--points", "2")),
+    ])
+    def test_file_value_outside_choices_rejected(self, capsys, tmp_path, line, argv):
+        bits = tmp_path / "bits.txt"
+        bits.write_text("01" * 2048)
+        config = tmp_path / "qrng.conf"
+        config.write_text(line + "\n")
+        argv = [arg.format(bits=bits) for arg in argv]
+        code, out, err = run_cli(capsys, "--config", str(config), *argv)
+        assert code == 1 and "is not one of" in err
+        assert out == ""
+
+    def test_mu_eta_flag_replaces_file_efficiencies(self, capsys, tmp_path):
+        config = tmp_path / "qrng.conf"
+        config.write_text("mu=3.0\neta0=0.5\n")
+        out_path = tmp_path / "c.bits"
+        code, _, _ = run_cli(
+            capsys, "--config", str(config), "generate", "--mu-eta", "1.0",
+            "--gates", "1000", "--out", str(out_path),
+        )
+        assert code == 0
+        provenance = BitStream.read(out_path).provenance
+        assert (provenance["mu"], provenance["eta0"], provenance["eta1"]) == ("1", "1", "1")
+
+    def test_efficiency_flags_replace_file_mu_eta(self, capsys, tmp_path):
+        config = tmp_path / "qrng.conf"
+        config.write_text("mu_eta=1.0\neta1=0.25\n")
+        out_path = tmp_path / "c.bits"
+        code, _, _ = run_cli(
+            capsys, "--config", str(config), "generate", "--mu", "3.0", "--eta0", "0.5",
+            "--gates", "1000", "--out", str(out_path),
+        )
+        assert code == 0
+        provenance = BitStream.read(out_path).provenance
+        # eta1 is of the flags' form, so the file still sets it
+        assert (provenance["mu"], provenance["eta0"], provenance["eta1"]) == ("3", "0.5", "0.25")
+
+    def test_both_forms_as_flags_still_conflict(self, capsys, tmp_path):
+        config = tmp_path / "qrng.conf"
+        config.write_text("gates=1000\n")
+        code, _, err = run_cli(
+            capsys, "--config", str(config), "generate", "--mu-eta", "1.0",
+            "--eta0", "0.5", "--out", str(tmp_path / "c.bits"),
+        )
+        assert code == 1 and "one form" in err
 
 
 class TestLibrarySweep:

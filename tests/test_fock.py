@@ -297,7 +297,16 @@ class TestJointDistribution:
 
         with pytest.raises(TruncationError) as info:
             output_joint_distribution(SourceModel.single(), 5.0, TruncationPolicy(0.01))
-        assert info.value.bound >= 0
+        assert "below 0.999 for mu_eff=5.0" in str(info.value)
+
+    @pytest.mark.parametrize("label", ["single", "indist", "dist", "mix:0.5"])
+    def test_default_policy_meets_mass_floor(self, label):
+        # The default 1e-3 tail leaves at least the 99.9% floor, so the CLI's
+        # sweep needs no TruncationError branch for its rows.
+        source = SourceModel.from_label(label)
+        for mu in np.geomspace(1e-6, 150.0, 300):
+            dist = output_joint_distribution(source, float(mu))
+            assert dist.truncation_mass >= 0.999, mu
 
     def test_overlap_validation(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from bsqrng.mcsim import (
     gate_uniforms,
     run,
     sample_bs_outcome,
-    sample_gate,
 )
 
 INDIST = SourceModel.indistinguishable_pair()
@@ -71,8 +70,9 @@ class TestDeterminism:
     def test_chunking_invariance(self):
         cfg = make_cfg(n_gates=5000)
         _, whole = run(cfg)
-        _, chunked = run(cfg, chunk_gates=777)
-        assert np.array_equal(whole, chunked)
+        for chunk_gates in (777, 1):
+            _, chunked = run(cfg, chunk_gates=chunk_gates)
+            assert np.array_equal(whole, chunked), chunk_gates
 
     @settings(max_examples=25)
     @given(st.integers(2, 400), st.data())
@@ -84,16 +84,6 @@ class TestDeterminism:
             [_simulate_range(cfg, 0, k), _simulate_range(cfg, k, n)]
         )
         assert np.array_equal(serial, merged)
-
-    def test_sample_gate_matches_run(self):
-        cfg = make_cfg(n_gates=200)
-        _, outcomes = run(cfg)
-        for i in (0, 1, 57, 199):
-            outcome = sample_gate(cfg, i)
-            assert isinstance(outcome, Outcome)
-            assert outcome == Outcome(int(outcomes[i]))
-        with pytest.raises(ValueError):
-            sample_gate(cfg, 200)
 
 
 class TestTally:

@@ -11,7 +11,6 @@ from bsqrng.postproc import BitStream
 from bsqrng.randtests import (
     COMPONENTS,
     NOT_RUN,
-    BatteryParams,
     InsufficientDataError,
     _as_bits,
     _Block,
@@ -361,11 +360,6 @@ class TestBattery:
             parse_report_csv(csv + "rank,0,0.5,1\n")
         with pytest.raises(ValueError, match="no row for monobit block 1"):
             parse_report_csv(csv + "serial_2,1,0.5,1\n")
-
-    def test_custom_params(self):
-        params = BatteryParams(block_frequency_len=64, approximate_entropy_m=3, serial_m=4)
-        report = run_battery(ideal_bits(2048, seed=10), 2048, params=params)
-        assert len(report.results) == len(COMPONENTS)
 
 
 class TestCalibration:
