@@ -6,6 +6,17 @@ directions), approximate entropy and serial. Each returns a p-value in
 [0, 1]; a block passes a test when every p-value of that test is at or above
 the significance level. The remaining tests of the full battery are reported
 as not run.
+
+The battery evaluates a group of equal blocks at a time, held as one
+``(k, n)`` bit array (``_Blocks``): each integer statistic is one row-wise
+array operation over the group, and each test then returns one p-value per
+block. A test given plain bits runs the same kernels on a group of one
+block. A group holds about ``_GROUP_BITS`` bits, and a ``BitStream`` is
+unpacked one group at a time, so memory is bounded by a group, not by the
+input. Cumulative sums reads the normal CDF only at the points the blocks
+need, evaluated for all blocks of a battery in one call. Every p-value is
+the same, bit for bit, as a block-by-block evaluation gives: float sums run
+over each row in the order a one-block sum would.
 """
 
 from __future__ import annotations
@@ -19,14 +30,15 @@ import numpy as np
 from .postproc import BitStream
 from .special import erfc, gammainc_upper, normal_cdf
 
+# Bits per group of blocks; a block longer than this is a group alone.
+_GROUP_BITS = 1 << 18
+
 
 class InsufficientDataError(ValueError):
     """Raised when the input is too short for the requested evaluation."""
 
 
 def _as_bits(bits) -> np.ndarray:
-    if isinstance(bits, _Block):
-        return bits.bits
     if isinstance(bits, BitStream):
         return bits.bits()
     if isinstance(bits, str):
@@ -42,45 +54,202 @@ def _as_bits(bits) -> np.ndarray:
     return arr
 
 
-def frequency_monobit(bits, *, min_length: int = 100) -> float:
+# Byte tables, indexed by the byte value; its bits are read MSB first.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+# The +-1 walk over the byte's first v bits: its end, maximum and minimum at
+# [v - 1, byte], for v = 1 .. 8.
+_BYTE_WALK = np.cumsum(2 * _BYTE_BITS.T.astype(np.int32) - 1, axis=0)
+_BYTE_WALK_MAX = np.maximum.accumulate(_BYTE_WALK, axis=0)
+_BYTE_WALK_MIN = np.minimum.accumulate(_BYTE_WALK, axis=0)
+
+
+def _byte_run_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ones before the byte's first zero, ones after its last zero, and its longest 1-run."""
+    lead, trail, longest = (np.zeros(256, dtype=np.int32) for _ in range(3))
+    for value, bits in enumerate(_BYTE_BITS.tolist()):
+        text = "".join(map(str, bits))
+        lead[value] = len(text) - len(text.lstrip("1"))
+        trail[value] = len(text) - len(text.rstrip("1"))
+        longest[value] = max(map(len, text.split("0")))
+    return lead, trail, longest
+
+
+_BYTE_LEAD, _BYTE_TRAIL, _BYTE_LONGEST = _byte_run_tables()
+
+
+class _Blocks:
+    """A group of k battery blocks of n bits each, and the statistics their tests share.
+
+    ``run_battery`` hands a group to each public test function, which then
+    returns one p-value per block; given plain bits, a test checks them and
+    builds a group of one block, and returns its p-value alone. Statistics
+    are computed on first use, for every block of the group at once; the
+    ones and the walk are read from the rows packed into bytes.
+
+    Counts of every length up to ``max_m`` come from the ``max_m``-bit
+    counts: the circular (m-1)-bit pattern q occurs exactly as often as the
+    m-bit patterns 2q and 2q + 1 together.
+
+    Both cumulative-sums excursions come from one +-1 walk S_0 = 0, ...,
+    S_n = end with extremes ``hi`` and ``lo``: the backward walk's partial
+    sums are ``end - S_i``, so its excursion is ``max(end - lo, hi - end)``.
+    ``cdf`` is the normal-CDF table those tests read (``_normal_cdf_at``).
+    """
+
+    def __init__(self, rows: np.ndarray, max_m: int):
+        self.rows = rows
+        self.k, self.n = rows.shape
+        self.max_m = max_m
+        self.cdf: np.ndarray | None = None
+
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """Each row packed MSB first, its last byte padded with zeros."""
+        return np.packbits(self.rows, axis=1)
+
+    @functools.cached_property
+    def ones(self) -> np.ndarray:
+        return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
+
+    @functools.cached_property
+    def excursions(self) -> dict[str, np.ndarray]:
+        # The walk at byte edges, and its extremes within each byte from the
+        # byte tables; a row's last byte holds its last 1 to 8 bits.
+        packed = self.packed
+        bits_in_last = self.n - 8 * (packed.shape[1] - 1)
+        steps, top, bottom = (
+            np.take(table[7], packed) for table in (_BYTE_WALK, _BYTE_WALK_MAX, _BYTE_WALK_MIN)
+        )
+        last = packed[:, -1]
+        steps[:, -1] = _BYTE_WALK[bits_in_last - 1][last]
+        top[:, -1] = _BYTE_WALK_MAX[bits_in_last - 1][last]
+        bottom[:, -1] = _BYTE_WALK_MIN[bits_in_last - 1][last]
+        # S at each byte's end; |S_i| <= n
+        level = np.cumsum(steps, axis=1, dtype=np.int32 if self.n < 2**31 else np.int64)
+        before = level - steps
+        hi = np.maximum((before + top).max(axis=1), 0).astype(np.int64)
+        lo = np.minimum((before + bottom).min(axis=1), 0).astype(np.int64)
+        end = level[:, -1].astype(np.int64)
+        return {
+            "forward": np.maximum(hi, -lo),
+            "backward": np.maximum(end - lo, hi - end),
+        }
+
+    @functools.cached_property
+    def counts(self) -> dict[int, np.ndarray]:
+        counts = _pattern_counts(self.rows, self.max_m)
+        by_length = {self.max_m: counts}
+        for m in range(self.max_m - 1, 0, -1):
+            counts = counts.reshape(self.k, -1, 2).sum(axis=2)
+            by_length[m] = counts
+        return by_length
+
+    def drop_bits(self) -> None:
+        """Free the bits and every statistic but the walk's excursions, which
+        cumulative sums reads once the normal CDF is known."""
+        for name in ("rows", "packed", "ones", "counts"):
+            vars(self).pop(name, None)
+
+
+def _blocks_of(bits, max_m: int = 1) -> _Blocks:
+    """``bits`` itself if it is a group, else a group of one block of its checked bits."""
+    return bits if isinstance(bits, _Blocks) else _Blocks(_as_bits(bits)[None, :], max_m)
+
+
+def _per_block(bits, values: list[float]):
+    """All of ``values`` for a group, its one value for plain bits."""
+    return values if isinstance(bits, _Blocks) else values[0]
+
+
+def _pattern_counts(rows: np.ndarray, m: int) -> np.ndarray:
+    """Occurrences of each overlapping m-bit pattern in each row, wrapping
+    around the row's end: shape ``(k, 2**m)``.
+
+    The m + 3 bits from the start of a nibble hold the four windows that
+    start in it, so one histogram of those contexts per row, at every whole
+    nibble of the row, gives the counts; the last n % 4 windows are read
+    bit by bit.
+    """
+    if m > 25:
+        raise ValueError(f"pattern length must be at most 25, got {m}")
+    k, n = rows.shape
+    extended = np.concatenate((rows, rows[:, : m - 1]), axis=1)
+    size = m + 3
+    # 32-bit words from every byte of the packed rows on; nibble 2i is the
+    # top of word i, nibble 2i + 1 four bits further.
+    packed = np.packbits(extended, axis=1)
+    packed = np.concatenate((packed, np.zeros((k, 3), dtype=np.uint8)), axis=1)
+    packed = packed.astype(np.uint32)
+    nibbles = n // 4
+    words = packed[:, : (nibbles + 1) // 2 + 3]
+    words = (words[:, :-3] << 24) | (words[:, 1:-2] << 16) | (words[:, 2:-1] << 8) | words[:, 3:]
+    # row r's contexts count in bins r * 2**size onwards
+    offsets = (np.arange(k, dtype=np.intp) << size)[:, None]
+    contexts = np.concatenate((
+        ((words >> (32 - size)) + offsets).ravel(),
+        (((words[:, : nibbles // 2] >> (28 - size)) & ((1 << size) - 1)) + offsets).ravel(),
+    ))
+    by_context = np.bincount(contexts, minlength=k << size).reshape(k, 1 << size)
+    # the window at offset s of a context is its bits s .. s + m - 1
+    counts = sum(
+        by_context.reshape(k, 1 << s, 1 << m, 1 << (3 - s)).sum(axis=(1, 3)) for s in range(4)
+    )
+    tail = extended[:, 4 * nibbles :]
+    value = tail[:, : n % 4].astype(np.intp)
+    for i in range(1, m):
+        value <<= 1
+        value |= tail[:, i : i + n % 4]
+    value += (np.arange(k) << m)[:, None]
+    return counts + np.bincount(value.ravel(), minlength=k << m).reshape(k, 1 << m)
+
+
+def frequency_monobit(bits, *, min_length: int = 100):
     """Excess of ones over zeros against the half-normal law."""
-    b = _as_bits(bits)
-    n = len(b)
+    group = _blocks_of(bits)
+    n = group.n
     if n < min_length:
         raise InsufficientDataError(f"monobit needs at least {min_length} bits, got {n}")
-    s = 2.0 * int(b.sum()) - n
-    return erfc(abs(s) / math.sqrt(2.0 * n))
+    scale = math.sqrt(2.0 * n)
+    return _per_block(bits, [erfc(abs(2.0 * ones - n) / scale) for ones in group.ones.tolist()])
 
 
-def block_frequency(bits, block_len: int = 128) -> float:
+def block_frequency(bits, block_len: int = 128):
     """Chi-square of per-block ones proportions around one half."""
-    b = _as_bits(bits)
+    group = _blocks_of(bits)
     if block_len < 2:
         raise ValueError(f"block length must be at least 2, got {block_len}")
-    n_blocks = len(b) // block_len
+    n_blocks = group.n // block_len
     if n_blocks < 1:
         raise InsufficientDataError(
-            f"block frequency needs at least {block_len} bits, got {len(b)}"
+            f"block frequency needs at least {block_len} bits, got {group.n}"
         )
-    proportions = b[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
-    chi_sq = 4.0 * block_len * float(((proportions - 0.5) ** 2).sum())
-    return gammainc_upper(n_blocks / 2.0, chi_sq / 2.0)
+    whole = group.rows[:, : n_blocks * block_len].reshape(group.k, n_blocks, block_len)
+    proportions = np.count_nonzero(whole, axis=2) / block_len
+    chi_sq = 4.0 * block_len * ((proportions - 0.5) ** 2).sum(axis=1)
+    return _per_block(
+        bits, [gammainc_upper(n_blocks / 2.0, x / 2.0) for x in chi_sq.tolist()]
+    )
 
 
-def runs(bits) -> float:
+def runs(bits):
     """Total number of runs against the expectation for the observed bias."""
-    b = _as_bits(bits)
-    n = len(b)
+    group = _blocks_of(bits)
+    n = group.n
     if n < 2:
         raise InsufficientDataError(f"runs needs at least 2 bits, got {n}")
-    pi = float(b.mean())
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
-        return 0.0  # frequency pre-test failed; runs statistic is meaningless
-    v = 1 + int((b[1:] != b[:-1]).sum())
-    return erfc(
-        abs(v - 2.0 * n * pi * (1.0 - pi))
-        / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi))
-    )
+    rows = group.rows
+    changes = np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+    p_values = []
+    for ones, v in zip(group.ones.tolist(), (changes + 1).tolist()):
+        pi = ones / n
+        if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+            p_values.append(0.0)  # frequency pre-test failed; runs statistic is meaningless
+            continue
+        p_values.append(erfc(
+            abs(v - 2.0 * n * pi * (1.0 - pi))
+            / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi))
+        ))
+    return _per_block(bits, p_values)
 
 
 # (block length M, category probabilities for longest run <=lo .. >=hi)
@@ -91,178 +260,189 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def longest_run_of_ones(bits) -> float:
+def longest_run_of_ones(bits):
     """Distribution of the longest 1-run per block against tabulated categories."""
-    b = _as_bits(bits)
-    n = len(b)
+    group = _blocks_of(bits)
+    n = group.n
     if n < 128:
         raise InsufficientDataError(f"longest run needs at least 128 bits, got {n}")
     for threshold, block_len, low, pi_table in reversed(_LONGEST_RUN_TABLES):
         if n >= threshold:
             break
-    longest = _longest_runs(b, block_len)
+    longest = _longest_runs(group.rows, block_len)
     n_cats = len(pi_table)
-    counts = np.bincount(np.clip(longest, low, low + n_cats - 1) - low, minlength=n_cats)
-    expected = len(longest) * np.asarray(pi_table)
-    chi_sq = float(((counts - expected) ** 2 / expected).sum())
-    return gammainc_upper((n_cats - 1) / 2.0, chi_sq / 2.0)
+    category = np.clip(longest, low, low + n_cats - 1) - low
+    category += n_cats * np.arange(group.k)[:, None]
+    counts = np.bincount(category.ravel(), minlength=group.k * n_cats).reshape(group.k, n_cats)
+    expected = longest.shape[1] * np.asarray(pi_table)
+    chi_sq = ((counts - expected) ** 2 / expected).sum(axis=1)
+    return _per_block(
+        bits, [gammainc_upper((n_cats - 1) / 2.0, x / 2.0) for x in chi_sq.tolist()]
+    )
 
 
-def _longest_runs(b: np.ndarray, block_len: int) -> np.ndarray:
-    """Longest 1-run of each whole sub-block of ``block_len`` bits."""
-    n_blocks = len(b) // block_len
-    # A zero column after each sub-block ends every run at its sub-block's
-    # edge, so one run-length pass over the flattened rows serves all of them.
-    rows = np.zeros((n_blocks, block_len + 1), dtype=np.int8)
-    rows[:, :block_len] = b[: n_blocks * block_len].reshape(n_blocks, block_len)
-    edges = np.diff(rows.ravel(), prepend=np.int8(0))
-    starts = np.flatnonzero(edges == 1)
-    longest = np.zeros(n_blocks, dtype=np.int64)
-    np.maximum.at(longest, starts // (block_len + 1), np.flatnonzero(edges == -1) - starts)
-    return longest
+def _longest_runs(rows: np.ndarray, block_len: int) -> np.ndarray:
+    """Longest 1-run of each whole sub-block of ``block_len`` bits of each row:
+    shape ``(k, n // block_len)``."""
+    k, n = rows.shape
+    n_sub = n // block_len
+    sub_blocks = np.packbits(rows[:, : n_sub * block_len].reshape(k * n_sub, block_len), axis=1)
+    # The sub-blocks' bytes, each sub-block after a zero byte, and a zero byte
+    # at the end (packing pads a sub-block with zeros too). A run longer than
+    # its byte starts in a byte with a zero bit and ends in the next such
+    # byte, with only all-one bytes between; the zero bytes keep runs within
+    # their sub-blocks.
+    width = sub_blocks.shape[1] + 1
+    flat = np.zeros(k * n_sub * width + 1, dtype=np.uint8)
+    flat[:-1].reshape(k * n_sub, width)[:, 1:] = sub_blocks
+    broken = np.flatnonzero(flat != 0xFF)
+    left, right = broken[:-1], broken[1:]
+    across = (
+        np.take(_BYTE_TRAIL, flat[left]) + 8 * (right - left - 1) + np.take(_BYTE_LEAD, flat[right])
+    )
+    # a sub-block's byte pairs begin at its zero byte
+    first = np.searchsorted(broken, width * np.arange(k * n_sub))
+    longest = np.take(_BYTE_LONGEST, flat[:-1]).reshape(k * n_sub, width).max(axis=1, initial=0)
+    if n_sub:
+        np.maximum(longest, np.maximum.reduceat(across, first), out=longest)
+    return longest.reshape(k, n_sub)
 
 
-def cumulative_sums(bits, direction: str = "forward") -> float:
+def cumulative_sums(bits, direction: str = "forward"):
     """Maximum partial-sum excursion of the +-1 walk."""
-    b = _as_bits(bits)
-    n = len(b)
+    group = _blocks_of(bits)
+    n = group.n
     if n < 2:
         raise InsufficientDataError(f"cumulative sums needs at least 2 bits, got {n}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    z = _block_of(bits, b, 1).excursions[direction]
-    # Summation limits in integer arithmetic truncated toward zero, as in
-    # the NIST SP 800-22 reference code: (-n/z + 1)/4, (n/z - 1)/4, (-n/z - 3)/4.
-    q = n // z
-    top = (q - 1) // 4
-    # total = 1 - sum_k [phi(4k+1) - phi(4k-1)] + sum_k [phi(4k+3) - phi(4k+1)]
-    # with phi(j) = normal_cdf(j * z / sqrt(n)), read from the table at j * z.
-    cdf, reach = _normal_cdf_table(n)
-    first = 4 * np.arange(-top, top + 1)
-    second = 4 * np.arange(-((q + 3) // 4), top + 1)
-    j = np.concatenate((first + 1, second + 3, first - 1, second + 1))
-    phi = cdf[np.clip(j * z, -reach - 1, reach + 1) + reach + 1]
-    n_terms = len(first) + len(second)
-    terms = np.empty(n_terms + 1)
-    terms[0] = 1.0
-    np.subtract(phi[:n_terms], phi[n_terms:], out=terms[1:])
-    terms[1 : len(first) + 1] *= -1.0
-    # cumsum adds the terms one after another, in the order of the k-sums
-    total = float(np.cumsum(terms)[-1])
-    return min(max(total, 0.0), 1.0)
+    if group.cdf is None:
+        excursions = np.concatenate(tuple(group.excursions.values()))
+        group.cdf = _normal_cdf_at(n, _cusum_points(n, excursions))
+    z = group.excursions[direction]
+    # Each row's terms are padded to the longest row's, the one of least z:
+    # a few rows at a time keep them near a group's size.
+    step = max(1, _GROUP_BITS // (8 * (n // int(z.min()) + 4)))
+    totals = np.concatenate([
+        _cusum_totals(n, z[first : first + step], group.cdf) for first in range(0, len(z), step)
+    ])
+    return _per_block(bits, [min(max(total, 0.0), 1.0) for total in totals.tolist()])
 
 
-@functools.lru_cache(maxsize=8)
-def _normal_cdf_table(n: int) -> tuple[np.ndarray, int]:
-    """``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for ``|p| <= reach + 1``.
+# Summation limits in integer arithmetic truncated toward zero, as in the
+# NIST SP 800-22 reference code: with q = n // z and top = (q - 1) // 4,
+#   p = 1 - sum_{k=-top}^{top} [phi(4k+1) - phi(4k-1)]
+#         + sum_{k=-top-1}^{top} [phi(4k+3) - phi(4k+1)],
+# phi(j) = normal_cdf(j z / sqrt(n)). The sums read phi at the odd j with
+# |j| <= 4 top + 3.
 
-    Beyond ``reach`` erfc's argument ``p / sqrt(n) / sqrt(2)`` exceeds 27 in
-    magnitude, where erfc gives exactly 0.0 or 2.0, so the two end entries
-    0.0 and 1.0 stand for every larger ``|p|``.
+
+def _cusum_totals(n: int, z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The unclipped cumulative-sums p-value of each block of n bits with excursion z."""
+    reach = (len(cdf) - 3) // 2
+    top = (n // z - 1) // 4
+    last = 4 * top[:, None] + 3
+    # Row by row, phi at j = -4 top - 3, -4 top - 1, ..., 4 top + 3, then
+    # repeated at 4 top + 3 out to the longest row: a term past the row's
+    # own sums is a difference of equal values, a zero that leaves the
+    # running sum as it is. cumsum adds each row's terms one after another.
+    j = np.minimum(2 * np.arange(4 * int(top.max()) + 4) - last, last)
+    phi = cdf[np.clip(j * z[:, None], -reach - 1, reach + 1) + reach + 1]
+    first = -(phi[:, 2::2] - phi[:, 1:-1:2])
+    second = phi[:, 1::2] - phi[:, 0::2]
+    terms = np.concatenate((np.ones((len(z), 1)), first, second), axis=1)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _cusum_points(n: int, z: np.ndarray) -> np.ndarray:
+    """Every point p = j z, j odd, that the cumulative sums of blocks of n
+    bits with excursions ``z`` read, within the reach of ``_normal_cdf_at``."""
+    reach = _cdf_reach(n)
+    z = np.unique(z)
+    limit = np.minimum(4 * ((n // z - 1) // 4) + 3, reach // z)
+    # the odd j in [-limit, limit] are +-(2 i + 1) for i < half
+    half = (limit + 1) // 2
+    i = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
+    p = (2 * i + 1) * np.repeat(z, half)
+    return np.unique(np.concatenate((-p, p)))
+
+
+def _cdf_reach(n: int) -> int:
+    """Beyond this |p|, erfc's argument p / sqrt(n) / sqrt(2) exceeds 27 in
+    magnitude, where erfc gives exactly 0.0 or 2.0."""
+    reach = math.ceil(27.0 * math.sqrt(2.0) * math.sqrt(n))
+    assert (reach + 1) / math.sqrt(n) / math.sqrt(2.0) > 27.0
+    return reach
+
+
+def _normal_cdf_at(n: int, points: np.ndarray) -> np.ndarray:
+    """Table of ``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for the integer
+    ``points`` p, in one array call; NaN at every other p.
+
+    The two end entries 0.0 and 1.0 stand for every ``|p| > reach``.
     """
-    sqrt_n = math.sqrt(n)
-    reach = math.ceil(27.0 * math.sqrt(2.0) * sqrt_n)
-    assert (reach + 1) / sqrt_n / math.sqrt(2.0) > 27.0
-    table = np.empty(2 * reach + 3)
+    reach = _cdf_reach(n)
+    table = np.full(2 * reach + 3, np.nan)
     table[0], table[-1] = 0.0, 1.0
-    table[1:-1] = normal_cdf(np.arange(-reach, reach + 1) / sqrt_n)
-    table.flags.writeable = False
-    return table, reach
+    points = points[np.abs(points) <= reach]
+    table[points + reach + 1] = normal_cdf(points / math.sqrt(n))
+    return table
 
 
-def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
-    """Occurrences of each overlapping m-bit pattern, wrapping around the end."""
-    n = len(b)
-    extended = np.concatenate([b, b[: m - 1]]) if m > 1 else b
-    value = extended[:n].astype(np.min_scalar_type(2**m - 1))
-    for i in range(1, m):
-        value <<= 1
-        value |= extended[i : i + n]
-    return np.bincount(value, minlength=2**m)
+def _sum_p_log_p(counts: np.ndarray, n: int) -> np.ndarray:
+    """Sum of f log f over the nonzero pattern frequencies f of each row."""
+    freq = counts / n
+    full = (counts > 0).all(axis=1)
+    total = np.empty(len(counts))
+    total[full] = (freq[full] * np.log(freq[full])).sum(axis=1)
+    # a row with an empty cell sums only its nonzero cells, in their order
+    for row in np.flatnonzero(~full).tolist():
+        f = freq[row][freq[row] > 0]
+        total[row] = (f * np.log(f)).sum()
+    return total
 
 
-class _Block:
-    """One validated battery block and the pattern counts and walk its tests share.
-
-    ``evaluate_block`` hands this to each public test function, so the bits
-    are checked once per battery run and counted once per block; a test
-    given plain bits builds its own. Counts of every length up to ``max_m``
-    come from the ``max_m``-bit counts: the circular (m-1)-bit pattern q
-    occurs exactly as often as the m-bit patterns 2q and 2q + 1 together.
-
-    Both cumulative-sums excursions come from one +-1 walk S_0 = 0, ...,
-    S_n = end with extremes ``hi`` and ``lo``: the backward walk's partial
-    sums are ``end - S_i``, so its excursion is ``max(end - lo, hi - end)``.
-    """
-
-    def __init__(self, bits: np.ndarray, max_m: int):
-        self.bits = bits
-        walk = bits.astype(np.int64)
-        walk *= 2
-        walk -= 1
-        np.cumsum(walk, out=walk)
-        hi, lo, end = max(int(walk.max()), 0), min(int(walk.min()), 0), int(walk[-1])
-        self.excursions = {"forward": max(hi, -lo), "backward": max(end - lo, hi - end)}
-        counts = _pattern_counts(bits, max_m)
-        self.counts = {max_m: counts}
-        for m in range(max_m - 1, 0, -1):
-            counts = counts.reshape(-1, 2).sum(axis=1)
-            self.counts[m] = counts
-
-
-def _block_of(bits, b: np.ndarray, max_m: int) -> _Block:
-    """``bits`` itself if it is a ``_Block``, else a new one over its checked bits ``b``."""
-    return bits if isinstance(bits, _Block) else _Block(b, max_m)
-
-
-def approximate_entropy(bits, m: int = 4) -> float:
+def approximate_entropy(bits, m: int = 4):
     """Entropy gap between overlapping m-bit and (m+1)-bit pattern statistics."""
-    b = _as_bits(bits)
-    n = len(b)
+    group = _blocks_of(bits, m + 1)
+    n = group.n
     if m < 1:
         raise ValueError(f"pattern length must be at least 1, got {m}")
     if n < m + 2:
         raise InsufficientDataError(
             f"approximate entropy with m={m} needs at least {m + 2} bits, got {n}"
         )
-
-    counts = _block_of(bits, b, m + 1).counts
-
-    def phi(length: int) -> float:
-        freq = counts[length] / n
-        freq = freq[freq > 0]
-        return float((freq * np.log(freq)).sum())
-
-    ap_en = phi(m) - phi(m + 1)
-    chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
-    return gammainc_upper(2.0 ** (m - 1), chi_sq / 2.0)
+    counts = group.counts
+    ap_en = _sum_p_log_p(counts[m], n) - _sum_p_log_p(counts[m + 1], n)
+    return _per_block(bits, [
+        gammainc_upper(2.0 ** (m - 1), 2.0 * n * (math.log(2.0) - x) / 2.0)
+        for x in ap_en.tolist()
+    ])
 
 
-def serial(bits, m: int = 5) -> tuple[float, float]:
+def serial(bits, m: int = 5):
     """Uniformity of overlapping m-bit patterns; first and second difference p-values."""
-    b = _as_bits(bits)
-    n = len(b)
+    group = _blocks_of(bits, m)
+    n = group.n
     if m < 2:
         raise ValueError(f"pattern length must be at least 2, got {m}")
     if n < m + 1:
         raise InsufficientDataError(
             f"serial with m={m} needs at least {m + 1} bits, got {n}"
         )
+    counts = group.counts
 
-    counts = _block_of(bits, b, m).counts
-
-    def psi_sq(length: int) -> float:
+    def psi_sq(length: int) -> np.ndarray | float:
         if length < 1:
             return 0.0
         squares = counts[length].astype(float) ** 2
-        return (2.0**length / n) * float(squares.sum()) - n
+        return (2.0**length / n) * squares.sum(axis=1) - n
 
     delta1 = psi_sq(m) - psi_sq(m - 1)
     delta2 = psi_sq(m) - 2.0 * psi_sq(m - 1) + psi_sq(m - 2)
-    return (
-        gammainc_upper(2.0 ** (m - 2), delta1 / 2.0),
-        gammainc_upper(2.0 ** (m - 3), delta2 / 2.0),
-    )
+    p1 = [gammainc_upper(2.0 ** (m - 2), x / 2.0) for x in delta1.tolist()]
+    p2 = [gammainc_upper(2.0 ** (m - 3), x / 2.0) for x in delta2.tolist()]
+    return (p1, p2) if isinstance(bits, _Blocks) else (p1[0], p2[0])
 
 
 # Per-test parameters of the battery; valid for blocks of 1e4 bits and up.
@@ -349,21 +529,20 @@ class TestReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_block(block: np.ndarray) -> dict[str, float]:
-    """All component p-values for one block of bits already checked by ``_as_bits``."""
-    block = _Block(block, max(_SERIAL_M, _APPROXIMATE_ENTROPY_M + 1))
-    p_serial_1, p_serial_2 = serial(block, _SERIAL_M)
-    return {
-        "monobit": frequency_monobit(block),
-        "block_frequency": block_frequency(block, _BLOCK_FREQUENCY_LEN),
-        "runs": runs(block),
-        "longest_run": longest_run_of_ones(block),
-        "cumulative_sums_forward": cumulative_sums(block, "forward"),
-        "cumulative_sums_backward": cumulative_sums(block, "backward"),
-        "approximate_entropy": approximate_entropy(block, _APPROXIMATE_ENTROPY_M),
-        "serial_1": p_serial_1,
-        "serial_2": p_serial_2,
-    }
+def _groups(bits, block_size: int, n_blocks: int):
+    """The first ``n_blocks`` blocks in consecutive groups, each as a ``(k,
+    block_size)`` bit array; a ``BitStream`` is unpacked one group at a time."""
+    per_group = max(1, _GROUP_BITS // block_size)
+    payload = np.frombuffer(bits.data, dtype=np.uint8) if isinstance(bits, BitStream) else None
+    for first in range(0, n_blocks, per_group):
+        k = min(per_group, n_blocks - first)
+        start, stop = first * block_size, (first + k) * block_size
+        if payload is None:
+            rows = bits[start:stop]
+        else:
+            rows = np.unpackbits(payload[start // 8 : (stop + 7) // 8])
+            rows = rows[start % 8 : start % 8 + stop - start]
+        yield rows.reshape(k, block_size)
 
 
 def run_battery(
@@ -371,21 +550,51 @@ def run_battery(
     block_size: int,
     significance: float = 0.01,
 ) -> TestReport:
-    """Partition the input into consecutive blocks and run every test on each."""
-    b = _as_bits(bits)
+    """Partition the input into consecutive blocks and run every test on each.
+
+    Trailing bits short of a block are not tested. The tests run on a group
+    of blocks at a time, and a ``BitStream`` is unpacked one group at a time.
+    """
+    if isinstance(bits, BitStream):
+        n_bits = bits.length
+    else:
+        bits = _as_bits(bits)
+        n_bits = len(bits)
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
     if block_size < 128:
         raise ValueError(f"block size must be at least 128, got {block_size}")
-    n_blocks = len(b) // block_size
+    n_blocks = n_bits // block_size
     if n_blocks < 1:
         raise InsufficientDataError(
-            f"need at least one block of {block_size} bits, got {len(b)}"
+            f"need at least one block of {block_size} bits, got {n_bits}"
         )
+    p_values: dict[str, list[float]] = {name: [] for name in COMPONENTS}
+    groups, excursions = [], []
+    for rows in _groups(bits, block_size, n_blocks):
+        group = _Blocks(rows, max(_SERIAL_M, _APPROXIMATE_ENTROPY_M + 1))
+        p_values["monobit"] += frequency_monobit(group)
+        p_values["block_frequency"] += block_frequency(group, _BLOCK_FREQUENCY_LEN)
+        p_values["runs"] += runs(group)
+        p_values["longest_run"] += longest_run_of_ones(group)
+        p_values["approximate_entropy"] += approximate_entropy(group, _APPROXIMATE_ENTROPY_M)
+        serial_1, serial_2 = serial(group, _SERIAL_M)
+        p_values["serial_1"] += serial_1
+        p_values["serial_2"] += serial_2
+        # Walk the group, then let its bits go: cumulative sums waits for
+        # the normal CDF at every block's points.
+        excursions.extend(group.excursions.values())
+        group.drop_bits()
+        groups.append(group)
+    cdf = _normal_cdf_at(block_size, _cusum_points(block_size, np.concatenate(excursions)))
+    for group in groups:
+        group.cdf = cdf
+        p_values["cumulative_sums_forward"] += cumulative_sums(group, "forward")
+        p_values["cumulative_sums_backward"] += cumulative_sums(group, "backward")
     results = []
     for blk in range(n_blocks):
-        block = b[blk * block_size : (blk + 1) * block_size]
-        for name, p in evaluate_block(block).items():
+        for name in COMPONENTS:
+            p = p_values[name][blk]
             results.append(TestResult(name, blk, p, p >= significance))
     return TestReport(block_size, n_blocks, significance, tuple(results))
 

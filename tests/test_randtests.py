@@ -1,21 +1,25 @@
 """Statistical tests: worked examples, properties, battery plumbing."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bsqrng import randtests
 from bsqrng.postproc import BitStream
 from bsqrng.randtests import (
     COMPONENTS,
     NOT_RUN,
     InsufficientDataError,
     _as_bits,
-    _Block,
+    _Blocks,
+    _cdf_reach,
     _longest_runs,
-    _normal_cdf_table,
+    _normal_cdf_at,
     _pattern_counts,
     approximate_entropy,
     block_frequency,
@@ -196,24 +200,58 @@ def loop_longest_runs(bits, block_len):
 run_lengths = st.lists(st.integers(1, 40), min_size=1, max_size=30)
 
 
+def loop_pattern_counts(bits, m):
+    """Occurrences of each overlapping m-bit pattern, wrapping around the end, one window at a time."""
+    n = len(bits)
+    counts = [0] * 2**m
+    for start in range(n):
+        value = 0
+        for i in range(m):
+            value = 2 * value + int(bits[(start + i) % n])
+        counts[value] += 1
+    return counts
+
+
 class TestVectorizedKernels:
     @given(run_lengths, st.booleans(), st.integers(1, 24))
     @example([8, 8], True, 8)  # two all-one sub-blocks must not merge into 16
     @example([4, 12, 8], True, 8)  # an all-zero sub-block between two others
     @example([13, 6, 1], True, 8)  # a run crossing an edge, then a partial tail
+    @example([20], True, 24)  # a run across all-one bytes of one sub-block
     def test_longest_runs_match_loop(self, lengths, first_bit, block_len):
         bits = np.concatenate([
             np.full(length, (i % 2 == 0) == first_bit, dtype=np.uint8)
             for i, length in enumerate(lengths)
         ])
-        assert _longest_runs(bits, block_len).tolist() == loop_longest_runs(bits, block_len)
+        longest = _longest_runs(bits[None, :], block_len)
+        assert longest.tolist() == [loop_longest_runs(bits, block_len)]
+
+    @given(st.lists(run_lengths, min_size=1, max_size=4), st.integers(1, 24))
+    def test_longest_runs_row_by_row(self, rows_of_runs, block_len):
+        # rows of one length, each padded with zeros: every row as if alone
+        rows = [np.concatenate([np.full(n, i % 2, dtype=np.uint8) for i, n in enumerate(r)])
+                for r in rows_of_runs]
+        width = max(map(len, rows))
+        group = np.zeros((len(rows), width), dtype=np.uint8)
+        for row, bits in zip(group, rows):
+            row[: len(bits)] = bits
+        expected = [loop_longest_runs(row, block_len) for row in group]
+        assert _longest_runs(group, block_len).tolist() == expected
 
     @given(st.integers(0, 2**32 - 1), st.integers(5, 400))
     def test_derived_pattern_counts_match_direct(self, seed, n):
         bits = ideal_bits(n, seed)
-        shared = _Block(bits, 5)
+        shared = _Blocks(bits[None, :], 5)
         for m in (5, 4, 3, 2, 1):
-            assert np.array_equal(shared.counts[m], _pattern_counts(bits, m)), m
+            assert shared.counts[m][0].tolist() == loop_pattern_counts(bits, m), m
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(9, 80),
+           st.integers(1, 8), st.sampled_from([0.5, 0.1, 0.0, 1.0]))
+    def test_pattern_counts_match_loop(self, seed, k, n, m, p_one):
+        # every n % 4 and n % 8, several rows, and constant rows
+        rows = (np.random.default_rng(seed).random((k, n)) < p_one).astype(np.uint8)
+        expected = [loop_pattern_counts(row, m) for row in rows]
+        assert _pattern_counts(rows, m).tolist() == expected
 
 
 def shaped_walk(steps, shape):
@@ -245,22 +283,36 @@ class TestCumulativeSumsKernels:
     @example([False, False], "monotone")
     def test_shared_walk_matches_plain_array(self, steps, shape):
         bits = shaped_walk(steps, shape)
-        block = _Block(bits, 1)
+        block = _Blocks(bits[None, :], 1)
         for direction in ("forward", "backward"):
-            assert block.excursions[direction] == direct_excursion(bits, direction)
-            shared = cumulative_sums(block, direction)
+            assert block.excursions[direction].tolist() == [direct_excursion(bits, direction)]
+            [shared] = cumulative_sums(block, direction)
             assert shared.hex() == cumulative_sums(bits, direction).hex(), direction
 
+    @given(st.lists(st.lists(st.booleans(), min_size=2, max_size=40), min_size=1, max_size=5))
+    def test_group_walk_matches_each_row(self, rows):
+        # rows of one length: each row's excursions as if alone
+        width = min(map(len, rows))
+        group = np.array([row[:width] for row in rows], dtype=np.uint8)
+        excursions = _Blocks(group, 1).excursions
+        for direction in ("forward", "backward"):
+            expected = [direct_excursion(row, direction) for row in group]
+            assert excursions[direction].tolist() == expected, direction
+
     @given(st.integers(2, 10**7))
-    def test_normal_cdf_table_edges(self, n):
-        table, reach = _normal_cdf_table(n)
+    def test_normal_cdf_at_edges(self, n):
+        reach = _cdf_reach(n)
+        edges = [-reach - 1, -reach, -1, 0, 1, reach, reach + 1]
+        table = _normal_cdf_at(n, np.array(edges))
         assert len(table) == 2 * reach + 3
         sqrt_n = math.sqrt(n)
-        for p in (-reach - 1, -reach, -1, 0, 1, reach, reach + 1):
+        for p in edges:
             assert table[p + reach + 1].hex() == normal_cdf(p / sqrt_n).hex(), p
         # every |p| beyond reach reads the end entries: exactly 0.0 and 1.0
         assert normal_cdf(-(reach + 1) / sqrt_n) == 0.0
         assert normal_cdf((reach + 1) / sqrt_n) == 1.0
+        # and no point that was not asked for is evaluated
+        assert np.isnan(table).sum() == len(table) - len(edges)
 
 
 class TestPreconditions:
@@ -284,6 +336,11 @@ class TestPreconditions:
             serial(ideal_bits(256), 1)
         with pytest.raises(InsufficientDataError):
             approximate_entropy(ideal_bits(4), 3)
+        # the counts are read from (m + 3)-bit contexts in 32-bit words
+        with pytest.raises(ValueError, match="at most 25"):
+            serial(ideal_bits(64), 26)
+        with pytest.raises(ValueError, match="at most 25"):
+            approximate_entropy(ideal_bits(64), 25)
 
     def test_bit_strings_hold_only_zeros_and_ones(self):
         assert _as_bits("0110").tolist() == [0, 1, 1, 0]
@@ -360,6 +417,92 @@ class TestBattery:
             parse_report_csv(csv + "rank,0,0.5,1\n")
         with pytest.raises(ValueError, match="no row for monobit block 1"):
             parse_report_csv(csv + "serial_2,1,0.5,1\n")
+
+
+def block_by_block(bits, block_size, n_blocks):
+    """Every component p-value of every block, from the public tests on that block alone."""
+    p_values = {}
+    for blk in range(n_blocks):
+        block = bits[blk * block_size : (blk + 1) * block_size]
+        serial_1, serial_2 = serial(block, 5)
+        values = {
+            "monobit": frequency_monobit(block),
+            "block_frequency": block_frequency(block, 128),
+            "runs": runs(block),
+            "longest_run": longest_run_of_ones(block),
+            "cumulative_sums_forward": cumulative_sums(block, "forward"),
+            "cumulative_sums_backward": cumulative_sums(block, "backward"),
+            "approximate_entropy": approximate_entropy(block, 4),
+            "serial_1": serial_1,
+            "serial_2": serial_2,
+        }
+        p_values.update({(name, blk): p for name, p in values.items()})
+    return p_values
+
+
+def battery_input(seed, block_size, n_blocks, extra, kind):
+    rng = np.random.default_rng(seed)
+    n = n_blocks * block_size + extra
+    if kind == "uniform":
+        return rng.integers(0, 2, n, dtype=np.uint8)
+    if kind == "biased":
+        return (rng.random(n) < 0.45).astype(np.uint8)
+    # each block all zeros, all ones, alternating or uniform
+    makers = (
+        lambda: np.zeros(block_size, dtype=np.uint8),
+        lambda: np.ones(block_size, dtype=np.uint8),
+        lambda: np.arange(block_size, dtype=np.uint8) % 2,
+        lambda: rng.integers(0, 2, block_size, dtype=np.uint8),
+    )
+    blocks = [makers[i]() for i in rng.integers(0, len(makers), n_blocks + 1)]
+    return np.concatenate(blocks)[:n]
+
+
+class TestGroupedBattery:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        block_size=st.one_of(st.integers(128, 3000), st.sampled_from([6272, 6279])),
+        n_blocks=st.integers(1, 7),
+        extra_fraction=st.floats(0.0, 0.999),
+        kind=st.sampled_from(["uniform", "biased", "mixed"]),
+        as_stream=st.booleans(),
+        group_bits=st.sampled_from([1, 5000, 1 << 18]),
+    )
+    @example(1, 128, 3, 0.5, "mixed", True, 300)
+    @example(2, 1001, 5, 0.0, "mixed", True, 2500)
+    def test_battery_equals_tests_block_by_block(
+        self, seed, block_size, n_blocks, extra_fraction, kind, as_stream, group_bits
+    ):
+        bits = battery_input(seed, block_size, n_blocks, int(extra_fraction * block_size), kind)
+        # groups of one block, of a few blocks with a short last group, or all blocks at once
+        with mock.patch.object(randtests, "_GROUP_BITS", group_bits):
+            report = run_battery(BitStream.from_bits(bits) if as_stream else bits, block_size)
+        expected = block_by_block(bits, block_size, n_blocks)
+        assert report.n_blocks == n_blocks
+        assert {(r.test, r.block): r.p_value.hex() for r in report.results} == {
+            key: p.hex() for key, p in expected.items()
+        }
+
+    def test_constant_blocks_match_block_by_block(self):
+        bits = np.concatenate([np.zeros(1000, np.uint8), np.ones(1000, np.uint8)] * 3)
+        with mock.patch.object(randtests, "_GROUP_BITS", 2000):
+            report = run_battery(BitStream.from_bits(bits), 1000)
+        expected = block_by_block(bits, 1000, 6)
+        assert [r.p_value.hex() for r in report.results] == [
+            expected[(r.test, r.block)].hex() for r in report.results
+        ]
+
+    def test_bit_file_is_unpacked_one_group_at_a_time(self):
+        # 2**22 bits are 4 MB at one byte per bit; a group is 2**18 bits.
+        stream = BitStream.from_bits(ideal_bits(1 << 22, seed=4))
+        tracemalloc.start()
+        try:
+            run_battery(stream, 20_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20, peak
 
 
 class TestCalibration:
