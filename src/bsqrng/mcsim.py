@@ -151,8 +151,11 @@ class EventTally:
 def gate_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     """Uniform draws for gates [start, stop), shape (stop-start, 8).
 
-    Row i holds the draws of gate start+i, taken from Philox output blocks
-    [2*(start+i), 2*(start+i)+2). The mapping depends only on (seed, index).
+    Row i holds the draws of gate g = start+i: the eight 64-bit words of the
+    Philox4x64-10 output blocks at counter values 2g + 1 and 2g + 2 (the
+    generator advances its counter before each block), each word w as
+    (w >> 11) * 2**-53. The mapping depends only on (seed, index);
+    ``tests/test_philox.py`` pins it against an independent Philox.
     """
     n = stop - start
     bitgen = np.random.Philox(key=seed, counter=start * _BLOCKS_PER_GATE)
