@@ -96,28 +96,20 @@ def outcome_probabilities(
 _CONTRAST_POLICY = TruncationPolicy(tail_mass=1e-12)
 
 
-def coincidence_contrast(
-    mu_eff: float,
-    eta0: float = 1.0,
-    eta1: float = 1.0,
-    source: SourceModel | None = None,
-) -> float:
-    """Coincidence-count contrast of ``source`` against the no-interference baseline.
+def coincidence_contrast(mu_eff: float) -> float:
+    """Coincidence-count contrast of the interfering pair against the no-interference baseline.
 
-    Returns 1 - P_cc(source) / P_cc(distinguishable), where P_cc is the
-    probability that both threshold detectors click, ``p_disc``. Defaults to
-    the indistinguishable pair, whose contrast is capped at 0.5 by
-    multi-photon input events and decays as mu_eff grows.
+    Returns 1 - P_cc(indistinguishable) / P_cc(distinguishable), where P_cc
+    is the probability that both threshold detectors click, ``p_disc``, at
+    unit efficiency (``mu_eff`` already holds the losses). The contrast is
+    capped at 0.5 by multi-photon input events and decays as mu_eff grows.
     """
-    det = DetectorPair(eta0, eta1)
-    if source is None:
-        source = SourceModel.indistinguishable_pair()
 
     def p_cc(src: SourceModel) -> float:
         dist = output_joint_distribution(src, mu_eff, _CONTRAST_POLICY, min_total=2)
-        return outcome_probabilities(dist, det).p_disc
+        return outcome_probabilities(dist).p_disc
 
-    p_cc_source = p_cc(source)
+    p_cc_source = p_cc(SourceModel.indistinguishable_pair())
     p_cc_baseline = p_cc(SourceModel.distinguishable_pair())
     if p_cc_baseline <= 0.0 or not math.isfinite(p_cc_baseline):
         raise ValueError(

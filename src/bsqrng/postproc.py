@@ -161,7 +161,6 @@ def von_neumann(stream: BitStream) -> BitStream:
 
 @dataclass(frozen=True)
 class StreamStats:
-    length: int
     ones_fraction: float | None
     extraction_efficiency: float | None
 
@@ -179,4 +178,4 @@ def stream_stats(stream: BitStream) -> StreamStats:
     raw = stream.provenance.get("raw_length")
     if raw is not None and int(raw) > 0:
         efficiency = stream.length / int(raw)
-    return StreamStats(stream.length, ones_fraction, efficiency)
+    return StreamStats(ones_fraction, efficiency)

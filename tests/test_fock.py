@@ -333,15 +333,6 @@ class TestCoincidenceContrast:
         values = [coincidence_contrast(float(m)) for m in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_distinguishable_against_itself_vanishes(self):
-        assert coincidence_contrast(
-            1.0, source=SourceModel.distinguishable_pair()
-        ) == pytest.approx(0.0, abs=1e-14)
-
-    def test_detector_pair_allowed(self):
-        with_loss = coincidence_contrast(0.05, eta0=0.15, eta1=0.15)
-        assert 0.45 <= with_loss <= 0.50
-
     def test_underflow_guard(self):
         with pytest.raises(ValueError):
             coincidence_contrast(1e-200)
