@@ -31,7 +31,7 @@ from .postproc import BitStream
 from .special import erfc, gammainc_upper, normal_cdf
 
 # Bits per group of blocks; a block longer than this is a group alone.
-_GROUP_BITS = 1 << 18
+_GROUP_BITS = 1 << 17
 
 
 class InsufficientDataError(ValueError):
@@ -58,7 +58,7 @@ def _as_bits(bits) -> np.ndarray:
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 # The +-1 walk over the byte's first v bits: its end, maximum and minimum at
 # [v - 1, byte], for v = 1 .. 8.
-_BYTE_WALK = np.cumsum(2 * _BYTE_BITS.T.astype(np.int32) - 1, axis=0)
+_BYTE_WALK = np.cumsum(2 * _BYTE_BITS.T.astype(np.int32) - 1, axis=0, dtype=np.int32)
 _BYTE_WALK_MAX = np.maximum.accumulate(_BYTE_WALK, axis=0)
 _BYTE_WALK_MIN = np.minimum.accumulate(_BYTE_WALK, axis=0)
 
@@ -117,19 +117,23 @@ class _Blocks:
         # byte tables; a row's last byte holds its last 1 to 8 bits.
         packed = self.packed
         bits_in_last = self.n - 8 * (packed.shape[1] - 1)
+        index = packed.astype(np.intp)
         steps, top, bottom = (
-            np.take(table[7], packed) for table in (_BYTE_WALK, _BYTE_WALK_MAX, _BYTE_WALK_MIN)
+            np.take(table[7], index) for table in (_BYTE_WALK, _BYTE_WALK_MAX, _BYTE_WALK_MIN)
         )
+        del index
         last = packed[:, -1]
         steps[:, -1] = _BYTE_WALK[bits_in_last - 1][last]
         top[:, -1] = _BYTE_WALK_MAX[bits_in_last - 1][last]
         bottom[:, -1] = _BYTE_WALK_MIN[bits_in_last - 1][last]
-        # S at each byte's end; |S_i| <= n
+        # S at each byte's end, then before it; |S_i| <= n
         level = np.cumsum(steps, axis=1, dtype=np.int32 if self.n < 2**31 else np.int64)
-        before = level - steps
-        hi = np.maximum((before + top).max(axis=1), 0).astype(np.int64)
-        lo = np.minimum((before + bottom).min(axis=1), 0).astype(np.int64)
         end = level[:, -1].astype(np.int64)
+        level -= steps
+        top += level
+        bottom += level
+        hi = np.maximum(top.max(axis=1), 0).astype(np.int64)
+        lo = np.minimum(bottom.min(axis=1), 0).astype(np.int64)
         return {
             "forward": np.maximum(hi, -lo),
             "backward": np.maximum(end - lo, hi - end),
@@ -174,33 +178,39 @@ def _pattern_counts(rows: np.ndarray, m: int) -> np.ndarray:
         raise ValueError(f"pattern length must be at most 25, got {m}")
     k, n = rows.shape
     extended = np.concatenate((rows, rows[:, : m - 1]), axis=1)
-    size = m + 3
-    # 32-bit words from every byte of the packed rows on; nibble 2i is the
-    # top of word i, nibble 2i + 1 four bits further.
-    packed = np.packbits(extended, axis=1)
-    packed = np.concatenate((packed, np.zeros((k, 3), dtype=np.uint8)), axis=1)
-    packed = packed.astype(np.uint32)
     nibbles = n // 4
-    words = packed[:, : (nibbles + 1) // 2 + 3]
-    words = (words[:, :-3] << 24) | (words[:, 1:-2] << 16) | (words[:, 2:-1] << 8) | words[:, 3:]
-    # row r's contexts count in bins r * 2**size onwards
-    offsets = (np.arange(k, dtype=np.intp) << size)[:, None]
-    contexts = np.concatenate((
-        ((words >> (32 - size)) + offsets).ravel(),
-        (((words[:, : nibbles // 2] >> (28 - size)) & ((1 << size) - 1)) + offsets).ravel(),
-    ))
-    by_context = np.bincount(contexts, minlength=k << size).reshape(k, 1 << size)
-    # the window at offset s of a context is its bits s .. s + m - 1
-    counts = sum(
-        by_context.reshape(k, 1 << s, 1 << m, 1 << (3 - s)).sum(axis=(1, 3)) for s in range(4)
-    )
     tail = extended[:, 4 * nibbles :]
     value = tail[:, : n % 4].astype(np.intp)
     for i in range(1, m):
         value <<= 1
         value |= tail[:, i : i + n % 4]
     value += (np.arange(k) << m)[:, None]
-    return counts + np.bincount(value.ravel(), minlength=k << m).reshape(k, 1 << m)
+    counts = np.bincount(value.ravel(), minlength=k << m).reshape(k, 1 << m)
+    # 32-bit words from every byte of the packed rows on; nibble 2i is the
+    # top of word i, nibble 2i + 1 four bits further.
+    packed = np.packbits(extended, axis=1)
+    del extended, tail
+    packed = np.concatenate((packed, np.zeros((k, 3), dtype=np.uint8)), axis=1)
+    packed = packed[:, : (nibbles + 1) // 2 + 3].astype(np.uint32)
+    words = packed[:, :-3] << 24
+    words |= packed[:, 1:-2] << 16
+    words |= packed[:, 2:-1] << 8
+    words |= packed[:, 3:]
+    del packed
+    # row r's contexts count in bins r * 2**size onwards
+    size = m + 3
+    offsets = (np.arange(k, dtype=np.intp) << size)[:, None]
+    by_context = sum(
+        np.bincount((contexts + offsets).ravel(), minlength=k << size)
+        for contexts in (
+            words >> (32 - size),
+            (words[:, : nibbles // 2] >> (28 - size)) & ((1 << size) - 1),
+        )
+    ).reshape(k, 1 << size)
+    # the window at offset s of a context is its bits s .. s + m - 1
+    for s in range(4):
+        counts += by_context.reshape(k, 1 << s, 1 << m, 1 << (3 - s)).sum(axis=(1, 3))
+    return counts
 
 
 def frequency_monobit(bits, *, min_length: int = 100):
@@ -286,20 +296,21 @@ def _longest_runs(rows: np.ndarray, block_len: int) -> np.ndarray:
     shape ``(k, n // block_len)``."""
     k, n = rows.shape
     n_sub = n // block_len
-    sub_blocks = np.packbits(rows[:, : n_sub * block_len].reshape(k * n_sub, block_len), axis=1)
+    sub_blocks = np.packbits(rows[:, : n_sub * block_len].reshape(k, n_sub, block_len), axis=2)
     # The sub-blocks' bytes, each sub-block after a zero byte, and a zero byte
     # at the end (packing pads a sub-block with zeros too). A run longer than
     # its byte starts in a byte with a zero bit and ends in the next such
     # byte, with only all-one bytes between; the zero bytes keep runs within
     # their sub-blocks.
-    width = sub_blocks.shape[1] + 1
+    width = sub_blocks.shape[2] + 1
     flat = np.zeros(k * n_sub * width + 1, dtype=np.uint8)
-    flat[:-1].reshape(k * n_sub, width)[:, 1:] = sub_blocks
+    flat[:-1].reshape(k, n_sub, width)[:, :, 1:] = sub_blocks
     broken = np.flatnonzero(flat != 0xFF)
-    left, right = broken[:-1], broken[1:]
-    across = (
-        np.take(_BYTE_TRAIL, flat[left]) + 8 * (right - left - 1) + np.take(_BYTE_LEAD, flat[right])
-    )
+    across = np.diff(broken)
+    across -= 1
+    across *= 8
+    across += _BYTE_TRAIL[flat[broken[:-1]]]
+    across += _BYTE_LEAD[flat[broken[1:]]]
     # a sub-block's byte pairs begin at its zero byte
     first = np.searchsorted(broken, width * np.arange(k * n_sub))
     longest = np.take(_BYTE_LONGEST, flat[:-1]).reshape(k * n_sub, width).max(axis=1, initial=0)

@@ -467,7 +467,7 @@ class TestGroupedBattery:
         extra_fraction=st.floats(0.0, 0.999),
         kind=st.sampled_from(["uniform", "biased", "mixed"]),
         as_stream=st.booleans(),
-        group_bits=st.sampled_from([1, 5000, 1 << 18]),
+        group_bits=st.sampled_from([1, 5000, 1 << 17]),
     )
     @example(1, 128, 3, 0.5, "mixed", True, 300)
     @example(2, 1001, 5, 0.0, "mixed", True, 2500)
@@ -494,7 +494,7 @@ class TestGroupedBattery:
         ]
 
     def test_bit_file_is_unpacked_one_group_at_a_time(self):
-        # 2**22 bits are 4 MB at one byte per bit; a group is 2**18 bits.
+        # 2**22 bits are 4 MB at one byte per bit; a group is 2**17 bits.
         stream = BitStream.from_bits(ideal_bits(1 << 22, seed=4))
         tracemalloc.start()
         try:
