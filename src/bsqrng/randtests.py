@@ -369,13 +369,14 @@ def _cusum_points(n: int, z: np.ndarray) -> np.ndarray:
     """Every point p = j z, j odd, that the cumulative sums of blocks of n
     bits with excursions ``z`` read, within the reach of ``_normal_cdf_at``."""
     reach = _cdf_reach(n)
-    z = np.unique(z)
+    z = np.sort(z)
+    z = z[np.diff(z, prepend=0) > 0]  # each excursion once; every z >= 1
     limit = np.minimum(4 * ((n // z - 1) // 4) + 3, reach // z)
     # the odd j in [-limit, limit] are +-(2 i + 1) for i < half
     half = (limit + 1) // 2
     i = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
     p = (2 * i + 1) * np.repeat(z, half)
-    return np.unique(np.concatenate((-p, p)))
+    return np.concatenate((-p, p))
 
 
 def _cdf_reach(n: int) -> int:
@@ -388,15 +389,17 @@ def _cdf_reach(n: int) -> int:
 
 def _normal_cdf_at(n: int, points: np.ndarray) -> np.ndarray:
     """Table of ``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for the integer
-    ``points`` p, in one array call; NaN at every other p.
+    ``points`` p, each evaluated once in one array call; NaN at every other p.
 
     The two end entries 0.0 and 1.0 stand for every ``|p| > reach``.
     """
     reach = _cdf_reach(n)
     table = np.full(2 * reach + 3, np.nan)
     table[0], table[-1] = 0.0, 1.0
-    points = points[np.abs(points) <= reach]
-    table[points + reach + 1] = normal_cdf(points / math.sqrt(n))
+    asked = np.zeros(len(table), dtype=bool)
+    asked[points[np.abs(points) <= reach] + reach + 1] = True
+    where = np.flatnonzero(asked)
+    table[where] = normal_cdf((where - reach - 1) / math.sqrt(n))
     return table
 
 
