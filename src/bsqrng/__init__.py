@@ -9,7 +9,6 @@ re-exports only a few of them.
 """
 
 from .detection import folding_equivalence_check
-from .fock import OccupationPair
 from .randtests import (
     approximate_entropy,
     block_frequency,
@@ -22,7 +21,6 @@ from .randtests import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "OccupationPair",
     "approximate_entropy",
     "block_frequency",
     "cumulative_sums",

@@ -25,8 +25,8 @@ from .detection import (
 )
 from .fock import SourceModel, output_joint_distribution
 from .mcsim import SimConfig, run
-from .postproc import BitStream, events_to_bits, stream_stats, von_neumann
-from .randtests import parse_report_csv, run_battery
+from .postproc import _MAGIC, BitStream, events_to_bits, stream_stats, von_neumann
+from .randtests import _CSV_HEADER, parse_report_csv, run_battery
 
 _ENV_CONFIG = "BSQRNG_CONFIG"
 _DEFAULT_SOURCES = "single,indist"
@@ -46,9 +46,9 @@ class SweepSpec:
     )
 
     def __post_init__(self):
-        if not self.mu_eta_min < self.mu_eta_max:
+        if not -math.inf < self.mu_eta_min < self.mu_eta_max < math.inf:
             raise ValueError(
-                f"need mu_eta_min < mu_eta_max, got {self.mu_eta_min} and {self.mu_eta_max}"
+                f"need finite mu_eta_min < mu_eta_max, got {self.mu_eta_min} and {self.mu_eta_max}"
             )
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points}")
@@ -131,8 +131,8 @@ def find_optimum(
     search refines the argmax to within 1e-4.
     """
     lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"bracket must be finite with 0 < lo < hi, got {bracket}")
 
     def p_gen(mu_eta: float) -> float:
         return outcome_probabilities(output_joint_distribution(source, mu_eta)).p_gen
@@ -203,8 +203,8 @@ def generate(
 def load_bitstream(path: str | Path) -> BitStream:
     """Read a bit file, accepting the binary format or ASCII '0'/'1' text."""
     with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == b"BSRB":
+        head = fh.read(len(_MAGIC))
+    if head == _MAGIC:
         return BitStream.read(path)
     text = Path(path).read_text()
     return BitStream.from_ascii(text)
@@ -393,7 +393,7 @@ def _cmd_test(args) -> int:
 def _cmd_report(args) -> int:
     text = Path(args.input).read_text()
     first_line = text.splitlines()[0] if text else ""
-    if first_line == "test,block,p_value,pass":
+    if first_line == _CSV_HEADER:
         sys.stdout.write(parse_report_csv(text).to_text())
     elif first_line == _SWEEP_HEADER:
         sys.stdout.write(text)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,16 +30,6 @@ MAX_INPUT_TOTAL = 200
 
 class TruncationError(RuntimeError):
     """Raised when a truncated distribution captures too little probability."""
-
-
-class OccupationPair(NamedTuple):
-    """Photon counts in the two spatial modes; the Fock-basis index."""
-
-    first: int
-    second: int
-
-    def total(self) -> int:
-        return self.first + self.second
 
 
 class SourceKind(Enum):
@@ -224,22 +213,21 @@ def _routed_rows(total: int) -> np.ndarray:
     return np.broadcast_to(np.array(binomial), (total + 1, total + 1))
 
 
-def bs_output_amplitudes(input_pair: OccupationPair | tuple[int, int]) -> np.ndarray:
+def bs_output_amplitudes(input_pair: tuple[int, int]) -> np.ndarray:
     """Beam-splitter transform of one Fock input (m, n).
 
     Entry M of the returned complex array is the amplitude of the output ket
     (M, m + n - M), for M = 0..m+n; interference nulls are exactly zero. With
     a -> (c + j d)/sqrt(2), b -> (j c + d)/sqrt(2) it is j^(M+m) sign(K) sqrt(p).
     """
-    pair = OccupationPair(*input_pair)
-    if pair.first < 0 or pair.second < 0:
-        raise ValueError(f"photon counts must be non-negative, got {tuple(pair)}")
-    total = pair.total()
+    m, n = input_pair
+    if m < 0 or n < 0:
+        raise ValueError(f"photon counts must be non-negative, got {(m, n)}")
+    total = m + n
     if total > MAX_INPUT_TOTAL:
         raise OverflowError(
             f"input total {total} exceeds the supported bound {MAX_INPUT_TOTAL}"
         )
-    m = pair.first
     phase = np.array([1.0, 1.0j, -1.0, -1.0j])[(np.arange(total + 1) + m) % 4]
     sign = np.sign(_krawtchouk_rows(total)[m]).astype(float)
     return phase * sign * np.sqrt(_interfering_rows(total)[m])

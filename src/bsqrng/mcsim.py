@@ -21,13 +21,7 @@ from enum import IntEnum
 import numpy as np
 
 from .detection import DetectorPair
-from .fock import (
-    OccupationPair,
-    SourceKind,
-    SourceModel,
-    _interfering_rows,
-    _routed_rows,
-)
+from .fock import SourceKind, SourceModel, _interfering_rows, _routed_rows
 
 _UNIFORMS_PER_GATE = 8  # two Philox blocks of four 64-bit outputs each
 _BLOCKS_PER_GATE = 2
@@ -47,10 +41,6 @@ _PHOTON_TAIL = 1e-15
 # total by total from big integers, so brighter runs are refused up front.
 # Indistinguishable pairs at mu 90 reach total 216.
 MAX_TABLE_TOTAL = 256
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a run would hold more than ``MAX_GATES`` outcomes in memory."""
 
 
 class Outcome(IntEnum):
@@ -76,10 +66,10 @@ class SimConfig:
             raise ValueError(f"seed must be a 64-bit value, got {self.seed}")
         if self.n_gates < 1:
             raise ValueError(f"n_gates must be at least 1, got {self.n_gates}")
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.gate_rate <= 0.0:
-            raise ValueError(f"gate_rate must be positive, got {self.gate_rate}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if not 0.0 < self.gate_rate < math.inf:
+            raise ValueError(f"gate_rate must be positive and finite, got {self.gate_rate}")
 
 
 @dataclass(frozen=True)
@@ -178,11 +168,6 @@ def _poisson_cdf_array(mean: float, max_k: int) -> np.ndarray:
         terms.append(terms[-1] * mean / k)
         cum += terms[-1]
     return np.cumsum(terms)
-
-
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, len(cdf) - 1)
 
 
 class _GuideTable:
@@ -300,36 +285,6 @@ def _simulate_range(
     return click0.view(np.uint8) | (click1.view(np.uint8) << 1)
 
 
-def sample_bs_outcome(
-    input_pair: OccupationPair | tuple[int, int],
-    source: SourceModel,
-    rng: np.random.Generator,
-) -> OccupationPair:
-    """Draw one splitter output for a Fock input; conserves the photon total.
-
-    Mixture sources first draw the interfering/routed branch, then the
-    outcome, consuming two uniforms in that order.
-    """
-    pair = OccupationPair(*input_pair)
-    if source.kind is SourceKind.INDISTINGUISHABLE:
-        rows = _interfering_rows
-    elif source.kind is SourceKind.MIXTURE:
-        rows = _interfering_rows if rng.random() < source.overlap else _routed_rows
-    else:
-        rows = _routed_rows
-    probs = rows(pair.total())[pair.first]
-    out_m = int(_inverse_cdf(np.cumsum(probs), np.array([rng.random()]))[0])
-    return OccupationPair(out_m, pair.total() - out_m)
-
-
-def _click_by_thinning(eta: float, photons: int, rng: np.random.Generator) -> bool:
-    # Reference model: each photon is seen independently with probability eta.
-    # Distributionally identical to one Bernoulli(1 - (1-eta)^photons) draw.
-    if photons == 0:
-        return False
-    return bool((rng.random(photons) < eta).any())
-
-
 # A chunk's uniforms take 1 MB at 2**14 gates, so its temporaries stay near
 # cache size and below numpy's 4 MB huge-page threshold. On a 2-CPU x86 box,
 # `run` of 2**21 gates was fastest at 2**13 to 2**14 gates per chunk and 3 to
@@ -345,11 +300,11 @@ def run(
     """Simulate all gates of ``cfg``.
 
     Returns the tally and the per-gate outcome array (one code per gate,
-    indexed by gate). Runs longer than ``MAX_GATES`` are refused before
-    anything is allocated.
+    indexed by gate). Runs longer than ``MAX_GATES`` are refused with an
+    ``OverflowError`` before anything is allocated.
     """
     if cfg.n_gates > MAX_GATES:
-        raise ResourceLimitError(
+        raise OverflowError(
             f"{cfg.n_gates} gates exceed the limit of {MAX_GATES} gates per run"
         )
     tables = _SamplerTables(cfg)

@@ -22,6 +22,14 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sBQI")  # magic, version, bit length, provenance length
 
 
+def _ascii_bits(text: str) -> np.ndarray:
+    """One uint8 bit per character of a string of '0' and '1' characters."""
+    bits = np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+    if bits.size and bits.max() > 1:
+        raise ValueError("ASCII bit data may contain only '0' and '1'")
+    return bits
+
+
 @dataclass(frozen=True)
 class BitStream:
     """A packed bit sequence with its provenance record."""
@@ -52,10 +60,7 @@ class BitStream:
     def from_ascii(
         cls, text: str, provenance: Mapping[str, str] | None = None
     ) -> "BitStream":
-        digits = [c for c in text if not c.isspace()]
-        if any(c not in "01" for c in digits):
-            raise ValueError("ASCII bit data may contain only '0', '1' and whitespace")
-        return cls.from_bits([int(c) for c in digits], provenance)
+        return cls.from_bits(_ascii_bits("".join(text.split())), provenance)
 
     def write(self, path: str | Path) -> None:
         prov = "".join(f"{k}={v}\n" for k, v in self.provenance.items()).encode()

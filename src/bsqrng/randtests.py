@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .postproc import BitStream
+from .postproc import BitStream, _ascii_bits
 from .special import erfc, gammainc_upper, normal_cdf
 
 # Bits per group of blocks; a block longer than this is a group alone.
@@ -42,10 +42,7 @@ def _as_bits(bits) -> np.ndarray:
     if isinstance(bits, BitStream):
         return bits.bits()
     if isinstance(bits, str):
-        digits = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-        if digits.size and digits.max() > 1:
-            raise ValueError("bit string may contain only '0' and '1'")
-        return digits
+        return _ascii_bits(bits)
     arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("bit input must be one-dimensional")

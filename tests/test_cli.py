@@ -105,6 +105,11 @@ class TestSweep:
         assert code == 1
         assert "error:" in err
 
+    def test_non_finite_endpoint_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--mu-eta-max", "inf", "--points", "4")
+        assert code == 1 and out == ""
+        assert "finite mu_eta_min < mu_eta_max" in err and "inf" in err
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(1.0, 2.0, points=1)
@@ -143,6 +148,11 @@ class TestOptimum:
             capsys, "optimum", "--source", "single", "--bracket", "5", "9"
         )
         assert code == 1 and "bracket" in err
+
+    def test_non_finite_bracket_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "optimum", "--bracket", "0.2", "inf")
+        assert code == 1 and out == ""
+        assert "bracket must be finite" in err
 
     def test_library_bracket_validation(self):
         with pytest.raises(ValueError):
@@ -189,6 +199,15 @@ class TestGenerate:
             capsys, "generate", "--mu", "-1", "--out", str(tmp_path / "x.bits")
         )
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--mu", "--gate-rate"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value_rejected(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "x.bits"
+        code, stdout, err = run_cli(capsys, "generate", flag, value, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert f"{flag[2:].replace('-', '_')} must be positive and finite" in err
+        assert not out.exists()
 
 
 class TestTestCommand:
@@ -288,10 +307,9 @@ class TestReportCommand:
 class TestExitCodes:
     def test_runtime_errors_map_to_two(self, capsys, tmp_path, monkeypatch):
         import bsqrng.cli as cli
-        from bsqrng.mcsim import ResourceLimitError
 
         def boom(cfg, **kwargs):
-            raise ResourceLimitError("budget exceeded")
+            raise RuntimeError("budget exceeded")
 
         monkeypatch.setattr(cli, "run", boom)
         code, _, err = run_cli(

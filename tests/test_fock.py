@@ -222,6 +222,7 @@ class TestJointDistribution:
         dist = output_joint_distribution(SourceModel.distinguishable_pair(), mu)
         bound = truncation_bound(mu)
         oracle = routing_oracle(mu, bound)
+        assert _routed_rows(2)[1].tolist() == [0.25, 0.5, 0.25]
         support = {(int(m), int(n)) for m, n in np.argwhere(dist.probs > 0.0)}
         assert support == set(oracle)
         for key, expected in oracle.items():
