@@ -359,6 +359,8 @@ def _cmd_generate(args) -> int:
     if args.mu_eta is not None:
         if args.mu is not None or args.eta0 is not None or args.eta1 is not None:
             raise ValueError("--mu-eta replaces --mu/--eta0/--eta1; give one form only")
+        if not 0.0 < args.mu_eta < math.inf:
+            raise ValueError(f"--mu-eta must be positive and finite, got {args.mu_eta}")
         args.mu, args.eta0, args.eta1 = args.mu_eta, 1.0, 1.0
     args = _resolved(args, mu=2.1, eta0=1.0, eta1=1.0, source="indist",
                      gates=100_000, seed=1, gate_rate=100_000.0)

@@ -4,12 +4,20 @@ Each detection gate draws input photon numbers, routes them through the
 splitter, applies threshold detection and classifies the gate as bit 0,
 bit 1, a discarded collision, or no click.
 
-Randomness comes from a counter-based Philox stream: every gate owns a fixed
-budget of 8 uniforms (two Philox blocks), so each gate's draws are a pure
-function of (seed, gate_index). A run can therefore be simulated in chunks
-of gates and still reproduce the serial outcome sequence bit for bit. This
-internal generator is simulation plumbing only; the randomness being modeled
-is the physics.
+Randomness comes from the raw words of a counter-based Philox4x64-10 stream
+keyed by the seed. Gate g owns the eight 64-bit words of the output blocks at
+counter values 2g + 1 and 2g + 2, so its draws are a pure function of (seed,
+g): a run can be simulated in chunks of gates and still reproduce the serial
+outcome sequence bit for bit. Words 0 to 5 are read as the first arm's photon
+number, the second arm's, the mixture branch, the splitter outcome and the
+bit-0 and bit-1 clicks; words 6 and 7 are unused. A word w is read as the
+53-bit draw x = w >> 11, which stands for u = x * 2**-53, and every test on
+it is an exact integer comparison: u < p exactly when x < ceil(p * 2**53)
+(a click, or the interfering branch at p = overlap), and an inverse-CDF
+lookup returns the number of entries c of its row with ceil(c * 2**53) <= x,
+capped at the last column.
+This internal generator is simulation plumbing only; the randomness being
+modeled is the physics.
 """
 
 from __future__ import annotations
@@ -23,10 +31,13 @@ import numpy as np
 from .detection import DetectorPair
 from .fock import SourceKind, SourceModel, _interfering_rows, _routed_rows
 
-_UNIFORMS_PER_GATE = 8  # two Philox blocks of four 64-bit outputs each
+_WORDS_PER_GATE = 8  # two Philox blocks of four 64-bit outputs each
 _BLOCKS_PER_GATE = 2
+# A draw is the top 53 bits of a word, x = w >> 11, standing for x * 2**-53.
+_DRAW_BITS = 53
+_INT64_MAX = np.iinfo(np.int64).max
 
-# Uniform slot assignment within a gate.
+# Word slot assignment within a gate.
 _SLOT_ARM_A = 0
 _SLOT_ARM_B = 1
 _SLOT_BRANCH = 2
@@ -87,23 +98,14 @@ class EventTally:
             raise ValueError("outcome counts must sum to n_gates")
 
     @classmethod
-    def from_outcomes(cls, outcomes: np.ndarray) -> "EventTally":
-        counts = np.bincount(outcomes, minlength=4)
+    def from_counts(cls, counts: np.ndarray) -> "EventTally":
+        """The tally of per-code counts, indexed by ``Outcome``."""
         return cls(
-            n_gates=int(outcomes.size),
+            n_gates=int(counts.sum()),
             bit0=int(counts[Outcome.BIT0]),
             bit1=int(counts[Outcome.BIT1]),
             collision=int(counts[Outcome.COLLISION]),
             none=int(counts[Outcome.NONE]),
-        )
-
-    def __add__(self, other: "EventTally") -> "EventTally":
-        return EventTally(
-            self.n_gates + other.n_gates,
-            self.bit0 + other.bit0,
-            self.bit1 + other.bit1,
-            self.collision + other.collision,
-            self.none + other.none,
         )
 
     @property
@@ -139,18 +141,24 @@ class EventTally:
 
 
 def gate_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
-    """Uniform draws for gates [start, stop), shape (stop-start, 8).
+    """Raw uint64 words of gates [start, stop), shape (stop-start, 8).
 
-    Row i holds the draws of gate g = start+i: the eight 64-bit words of the
+    Row i holds the words of gate g = start+i: the eight 64-bit words of the
     Philox4x64-10 output blocks at counter values 2g + 1 and 2g + 2 (the
-    generator advances its counter before each block), each word w as
-    (w >> 11) * 2**-53. The mapping depends only on (seed, index);
-    ``tests/test_philox.py`` pins it against an independent Philox.
+    generator advances its counter before each block). The mapping depends
+    only on (seed, index); ``tests/test_philox.py`` pins it against an
+    independent Philox.
     """
     n = stop - start
     bitgen = np.random.Philox(key=seed, counter=start * _BLOCKS_PER_GATE)
-    u = np.random.Generator(bitgen).random(n * _UNIFORMS_PER_GATE)
-    return u.reshape(n, _UNIFORMS_PER_GATE)
+    return bitgen.random_raw(n * _WORDS_PER_GATE).reshape(n, _WORDS_PER_GATE)
+
+
+def _thresholds(p: np.ndarray | float) -> np.ndarray:
+    """ceil(p * 2**53) as int64: a draw x stands for u < p exactly when x < it."""
+    scaled = np.array(p, dtype=np.float64)
+    scaled *= 2.0**_DRAW_BITS
+    return np.ceil(scaled, out=scaled).astype(np.int64)
 
 
 def _poisson_cdf_array(mean: float, max_k: int) -> np.ndarray:
@@ -171,44 +179,56 @@ def _poisson_cdf_array(mean: float, max_k: int) -> np.ndarray:
 
 
 class _GuideTable:
-    """Exact inverse-CDF lookup over the rows of a CDF table.
+    """Exact inverse-CDF lookup over the rows of a CDF table, on 53-bit draws.
 
-    Indexed search (Chen & Asau 1974; Devroye 1986, section III.2.4):
-    ``guide[r, g]`` counts the entries of row r that are <= g/G, for a power
-    of two G >= 2 * width. A lookup starts there, at floor(u * G), and steps
-    over the few entries still <= u. Because G is a power of two, u * G and
-    cdf * G are exact, so ``lookup`` equals
-    ``min(searchsorted(row, u, "right"), width - 1)`` for every u in [0, 1).
-    That needs only that the entries <= u form a prefix of the row, which
-    holds for a cumsum padded with 1.0 whether it ends just above or below 1.
+    Indexed search (Chen & Asau 1974; Devroye 1986, section III.2.4) in the
+    integer domain. Each entry c is kept as its threshold ceil(c * 2**53),
+    which is <= a draw x exactly when c <= u = x * 2**-53. ``guide[r, b]``
+    counts the entries of row r that are <= b/G, for a power of two
+    G >= 2 * width. A lookup starts there, at bucket b = x >> (53 - log2 G),
+    which is floor(u * G), and steps over the few entries still <= u. So
+    ``lookup`` equals ``min(searchsorted(row, u, "right"), width - 1)`` for
+    every x in [0, 2**53). That needs only that the entries <= u form a
+    prefix of the row, which holds for a cumsum padded with 1.0 whether it
+    ends just above or below 1.
     """
 
     def __init__(self, cdf_rows: np.ndarray):
         n_rows, width = cdf_rows.shape
         self.width = width
         self.n_buckets = 1 << (2 * width - 1).bit_length()
-        # An infinite last column stops every scan at width - 1, the clamp.
-        table = cdf_rows.astype(np.float64)
-        table[:, -1] = np.inf
+        self._shift = _DRAW_BITS - (self.n_buckets.bit_length() - 1)
+        # The largest threshold in the last column stops every scan at
+        # width - 1, the clamp.
+        table = _thresholds(cdf_rows)
+        table[:, -1] = _INT64_MAX
         self._flat = table.ravel()
-        # Entry j of a row is <= g/G exactly when ceil(cdf[j] * G) <= g.
+        # Entry j of a row is <= b/G exactly when ceil(threshold / 2**shift) <= b;
+        # the ceiling is a floor shift of the negated table, taken in place.
         n_bins = self.n_buckets + 1
-        buckets = np.minimum(np.ceil(table * self.n_buckets), self.n_buckets)
+        buckets = np.negative(table)
+        buckets >>= self._shift
+        np.negative(buckets, out=buckets)
+        np.minimum(buckets, self.n_buckets, out=buckets)
         buckets += n_bins * np.arange(n_rows)[:, None]
-        hist = np.bincount(buckets.astype(np.int64).ravel(), minlength=n_rows * n_bins)
+        hist = np.bincount(buckets.ravel(), minlength=n_rows * n_bins)
         counts = np.cumsum(hist.reshape(n_rows, n_bins)[:, :-1], axis=1)
-        # Flat position of the first entry of row r that is > g/G.
+        # Flat position of the first entry of row r that is > b/G.
         self._guide = (counts + width * np.arange(n_rows)[:, None]).ravel()
 
-    def lookup(self, u: np.ndarray, rows: np.ndarray | int = 0) -> np.ndarray:
-        """Column index per draw: entries of its row that are <= u, capped."""
-        base = rows * self.width
-        pos = self._guide[rows * self.n_buckets + (u * self.n_buckets).astype(np.int64)]
-        active = np.flatnonzero(self._flat[pos] <= u)
+    def lookup(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Column index per draw: entries of its row (default row 0) <= x * 2**-53, capped."""
+        bucket = x >> self._shift
+        if rows is not None:
+            bucket += rows * self.n_buckets
+        pos = self._guide.take(bucket)
+        active = np.flatnonzero(self._flat.take(pos) <= x)
         while active.size:
             pos[active] += 1
-            active = active[self._flat[pos[active]] <= u[active]]
-        return pos - base
+            active = active[self._flat.take(pos[active]) <= x[active]]
+        if rows is not None:
+            pos -= rows * self.width
+        return pos
 
 
 class _SamplerTables:
@@ -253,7 +273,10 @@ class _SamplerTables:
             parts.append(build(_routed_rows))
         self.splitter = _GuideTable(np.concatenate(parts))
 
-        self.click0, self.click1 = cfg.detectors.click_probabilities(width)
+        # Per photon number in a mode, draws below its threshold click.
+        self.click0, self.click1 = map(_thresholds, cfg.detectors.click_probabilities(width))
+        # Draws at or above this threshold take the routed branch of a mixture.
+        self.routed = int(_thresholds(cfg.source.overlap))
 
     def row_index(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
         return m * self._row_stride + n
@@ -265,27 +288,29 @@ def _simulate_range(
     """Outcome codes for gates [start, stop); pure in (cfg, start, stop)."""
     if tables is None:
         tables = _SamplerTables(cfg)
-    u = gate_uniforms(cfg.seed, start, stop)
+    words = gate_uniforms(cfg.seed, start, stop)
 
-    m = tables.arm_a.lookup(u[:, _SLOT_ARM_A])
+    def draws(slot: int) -> np.ndarray:
+        return (words[:, slot] >> (64 - _DRAW_BITS)).view(np.int64)
+
+    m = tables.arm_a.lookup(draws(_SLOT_ARM_A))
     if tables.arm_b is None:
         n = 0
     else:
-        n = tables.arm_b.lookup(u[:, _SLOT_ARM_B])
+        n = tables.arm_b.lookup(draws(_SLOT_ARM_B))
     rows = tables.row_index(m, n)
     if cfg.source.kind is SourceKind.MIXTURE:
-        routed = u[:, _SLOT_BRANCH] >= cfg.source.overlap
-        rows += tables.n_pairs * routed
-    out_m = tables.splitter.lookup(u[:, _SLOT_SPLITTER], rows)
+        rows += tables.n_pairs * (draws(_SLOT_BRANCH) >= tables.routed)
+    out_m = tables.splitter.lookup(draws(_SLOT_SPLITTER), rows)
     out_n = m + n - out_m
 
-    click0 = u[:, _SLOT_CLICK0] < tables.click0[out_m]
-    click1 = u[:, _SLOT_CLICK1] < tables.click1[out_n]
+    click0 = draws(_SLOT_CLICK0) < tables.click0[out_m]
+    click1 = draws(_SLOT_CLICK1) < tables.click1[out_n]
     # Outcome codes are exactly click0 + 2 * click1.
     return click0.view(np.uint8) | (click1.view(np.uint8) << 1)
 
 
-# A chunk's uniforms take 1 MB at 2**14 gates, so its temporaries stay near
+# A chunk's words take 1 MB at 2**14 gates, so its temporaries stay near
 # cache size and below numpy's 4 MB huge-page threshold. On a 2-CPU x86 box,
 # `run` of 2**21 gates was fastest at 2**13 to 2**14 gates per chunk and 3 to
 # 5 % slower at 2**16 (medians of 12 runs at mu 2.1 indist and mu 8 mix:0.5).
@@ -308,11 +333,11 @@ def run(
             f"{cfg.n_gates} gates exceed the limit of {MAX_GATES} gates per run"
         )
     tables = _SamplerTables(cfg)
-    tally = EventTally(0, 0, 0, 0, 0)
+    counts = np.zeros(len(Outcome), dtype=np.int64)
     outcomes = np.empty(cfg.n_gates, dtype=np.uint8)
     for lo in range(0, cfg.n_gates, chunk_gates):
         hi = min(lo + chunk_gates, cfg.n_gates)
         chunk = _simulate_range(cfg, lo, hi, tables)
-        tally = tally + EventTally.from_outcomes(chunk)
+        counts += [np.count_nonzero(chunk == code) for code in Outcome]
         outcomes[lo:hi] = chunk
-    return tally, outcomes
+    return EventTally.from_counts(counts), outcomes

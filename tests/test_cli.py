@@ -209,6 +209,14 @@ class TestGenerate:
         assert f"{flag[2:].replace('-', '_')} must be positive and finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_invalid_mu_eta_named_in_message(self, capsys, tmp_path, value):
+        out = tmp_path / "x.bits"
+        code, stdout, err = run_cli(capsys, "generate", "--mu-eta", value, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert "--mu-eta must be positive and finite" in err and "mu must" not in err
+        assert not out.exists()
+
 
 class TestTestCommand:
     def test_battery_on_generated_file(self, capsys, tmp_path):

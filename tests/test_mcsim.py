@@ -1,5 +1,6 @@
 """Simulator determinism, stream partitioning and agreement with the analytics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from bsqrng.mcsim import (
     SimConfig,
     _GuideTable,
     _simulate_range,
+    _thresholds,
     gate_uniforms,
     run,
 )
@@ -86,14 +88,7 @@ class TestTally:
         cfg = make_cfg(n_gates=4321)
         tally, outcomes = run(cfg)
         assert tally.bit0 + tally.bit1 + tally.collision + tally.none == 4321
-        assert tally == EventTally.from_outcomes(outcomes)
-
-    def test_merge_is_associative_and_commutative(self):
-        a = EventTally(10, 1, 2, 3, 4)
-        b = EventTally(20, 5, 6, 7, 2)
-        c = EventTally(5, 1, 1, 1, 2)
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
+        assert tally == EventTally.from_counts(np.bincount(outcomes, minlength=4))
 
     def test_counts_must_sum(self):
         with pytest.raises(ValueError):
@@ -125,43 +120,81 @@ def cdf_tables(draw):
     return table
 
 
-def reference_lookup(table, rows, u):
+DRAWS = 2**53  # a draw x is a 53-bit integer standing for u = x * 2**-53
+
+
+def reference_lookup(table, rows, x):
+    """Clamped searchsorted of the float rows at the draws' uniforms."""
     width = table.shape[1]
+    u = x * 2.0**-53
     return np.array(
-        [min(np.searchsorted(table[r], x, side="right"), width - 1) for r, x in zip(rows, u)]
+        [min(np.searchsorted(table[r], v, side="right"), width - 1) for r, v in zip(rows, u)]
     )
 
 
-def probe_uniforms(table, n_buckets):
-    """Every bucket edge, every table entry, their neighbours, 0 and 1 - 2**-53."""
-    points = np.concatenate([np.arange(n_buckets) / n_buckets, table.ravel(), [0.0]])
+def probe_draws(table, n_buckets):
+    """Every bucket edge, every entry's threshold, their neighbours, 0 and 2**53 - 1."""
     points = np.concatenate(
-        [points, np.nextafter(points, -1.0), np.nextafter(points, 2.0), [1.0 - 2.0**-53]]
+        [np.arange(n_buckets) * (DRAWS // n_buckets), _thresholds(table).ravel(), [0]]
     )
-    return np.unique(points[(points >= 0.0) & (points < 1.0)])
+    points = np.concatenate([points, points - 1, points + 1, [DRAWS - 1]])
+    return np.unique(points[(points >= 0) & (points < DRAWS)])
 
 
 class TestGuideTable:
-    @given(cdf_tables(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @given(cdf_tables(), st.lists(st.integers(0, DRAWS - 1), max_size=20))
     def test_matches_clamped_searchsorted(self, table, extra):
         guide = _GuideTable(table)
         assert guide.n_buckets >= 2 * table.shape[1]
         assert guide.n_buckets & (guide.n_buckets - 1) == 0
-        probes = np.concatenate([probe_uniforms(table, guide.n_buckets), extra])
+        probes = np.concatenate([probe_draws(table, guide.n_buckets), extra]).astype(np.int64)
         rows = np.repeat(np.arange(table.shape[0]), probes.size)
-        u = np.tile(probes, table.shape[0])
-        assert np.array_equal(guide.lookup(u, rows), reference_lookup(table, rows, u))
+        x = np.tile(probes, table.shape[0])
+        assert np.array_equal(guide.lookup(x, rows), reference_lookup(table, rows, x))
 
     def test_one_column_table(self):
         guide = _GuideTable(np.array([[0.3], [1.0]]))
-        u = np.array([0.0, 0.3, 0.7, 1.0 - 2.0**-53])
-        assert np.array_equal(guide.lookup(u, np.array([0, 1, 0, 1])), np.zeros(4))
+        x = np.array([0, _thresholds(0.3), DRAWS // 2, DRAWS - 1])
+        assert np.array_equal(guide.lookup(x, np.array([0, 1, 0, 1])), np.zeros(4))
 
     def test_scalar_row_defaults_to_first(self):
         cdf = np.array([0.25, 0.5, 0.75, 1.0])
-        u = np.array([0.0, 0.25, np.nextafter(0.25, 0.0), 0.6, 0.75, 1.0 - 2.0**-53])
-        expected = np.minimum(np.searchsorted(cdf, u, "right"), len(cdf) - 1)
-        assert np.array_equal(_GuideTable(cdf[None, :]).lookup(u), expected)
+        x = np.array([0, DRAWS // 4, DRAWS // 4 - 1, _thresholds(0.6), 3 * DRAWS // 4, DRAWS - 1])
+        expected = np.minimum(np.searchsorted(cdf, x * 2.0**-53, "right"), len(cdf) - 1)
+        assert np.array_equal(_GuideTable(cdf[None, :]).lookup(x), expected)
+
+
+def near_dyadic():
+    """k * 2**-53 and its float neighbours, plus 0, 1 and values just above 1."""
+    def neighbours(k):
+        base = k * 2.0**-53
+        return st.sampled_from([base, np.nextafter(base, -1.0), np.nextafter(base, 2.0)])
+
+    edges = st.sampled_from([0.0, 1.0, np.nextafter(1.0, 2.0), 1.0 + 4e-16, 1.0 + 2**-40])
+    return st.one_of(st.integers(0, DRAWS).flatmap(neighbours), edges, st.floats(0.0, 1.0))
+
+
+class TestIntegerDraws:
+    """Every integer test on a draw x gives the float test's answer at u = x * 2**-53."""
+
+    @given(near_dyadic(), st.data())
+    def test_comparisons_match_float(self, p, data):
+        k = min(math.floor(p * DRAWS), DRAWS - 1)
+        x = np.array(
+            [data.draw(st.integers(max(k - 2, 0), min(k + 2, DRAWS - 1))),
+             data.draw(st.integers(0, DRAWS - 1)), 0, DRAWS - 1],
+            dtype=np.int64,
+        )
+        u = x * 2.0**-53
+        threshold = _thresholds(p)
+        # Click (u < p), mixture branch (u >= overlap), scan step (cdf <= u).
+        assert np.array_equal(x < threshold, u < p)
+        assert np.array_equal(x >= threshold, u >= p)
+        assert np.array_equal(threshold <= x, p <= u)
+
+    @given(st.integers(0, DRAWS - 1), st.integers(0, 20))
+    def test_bucket_is_floor_of_scaled_uniform(self, x, log2_buckets):
+        assert x >> (53 - log2_buckets) == math.floor(x * 2.0**-53 * 2**log2_buckets)
 
 
 class TestSplitterSampling:

@@ -1,13 +1,14 @@
-"""The seed -> uniforms contract, pinned against an independent Philox4x64-10.
+"""The seed -> words contract, pinned against an independent Philox4x64-10.
 
-``mcsim.gate_uniforms`` draws every gate's eight uniforms from numpy's
-Philox bit generator. This file computes the same numbers from the published
-algorithm alone: J. K. Salmon, M. A. Moraes, R. O. Dror and D. E. Shaw,
-"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11 (Philox4x64 with ten
-rounds). Gate g reads the 4-word output blocks at counter values 2g + 1 and
-2g + 2, because the generator advances its counter before each block, and a
-64-bit word w becomes the uniform (w >> 11) * 2**-53. If a numpy release, or
-a change here, moved any of this, the seeded bytes of every run would move.
+``mcsim.gate_uniforms`` takes every gate's eight raw 64-bit words from
+numpy's Philox bit generator. This file computes the same words from the
+published algorithm alone: J. K. Salmon, M. A. Moraes, R. O. Dror and
+D. E. Shaw, "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11 (Philox4x64
+with ten rounds). Gate g reads the 4-word output blocks at counter values
+2g + 1 and 2g + 2, because the generator advances its counter before each
+block. The simulator reads a word w as the 53-bit draw w >> 11, so pinning
+the words pins every draw. If a numpy release, or a change here, moved any
+of this, the seeded bytes of every run would move.
 """
 
 import pytest
@@ -32,9 +33,8 @@ def philox4x64_10(counter: int, key: int) -> list[int]:
     return c
 
 
-def reference_uniforms(seed: int, gate: int) -> list[float]:
-    words = philox4x64_10(2 * gate + 1, seed) + philox4x64_10(2 * gate + 2, seed)
-    return [(w >> 11) * 2.0**-53 for w in words]
+def reference_words(seed: int, gate: int) -> list[int]:
+    return philox4x64_10(2 * gate + 1, seed) + philox4x64_10(2 * gate + 2, seed)
 
 
 # The last gate's two blocks straddle 2**64, so the counter carries into its
@@ -46,12 +46,12 @@ GATES = (0, 1, 7, 12_345, 2**63 - 1)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("gate", GATES)
 def test_gate_uniforms_match_reference_philox(seed, gate):
-    assert gate_uniforms(seed, gate, gate + 1)[0].tolist() == reference_uniforms(seed, gate)
+    assert gate_uniforms(seed, gate, gate + 1)[0].tolist() == reference_words(seed, gate)
 
 
 def test_rows_are_consecutive_gates():
     rows = gate_uniforms(20160817, 5, 9).tolist()
-    assert rows == [reference_uniforms(20160817, gate) for gate in range(5, 9)]
+    assert rows == [reference_words(20160817, gate) for gate in range(5, 9)]
 
 
 def test_known_answer():
