@@ -5,10 +5,14 @@ input. The CSV writes every p-value with ``repr``, so a kernel rewrite that
 moves any p-value by one ulp, or flips a pass flag, changes a digest. The
 block sizes 1 000, 20 000 and 750 000 select the three longest-run tables
 (sub-blocks of 8, 128 and 10 000 bits). A second digest per input pins the
-text report: its header, verdicts, pass fractions and not-run list.
+text report: its header, verdicts, pass fractions and not-run list. The
+``report`` command's stdout is pinned on the CSV that ``test`` writes, and on
+a copy with one pass flag flipped: the stored flags, not the p-values, decide
+the verdicts.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +76,12 @@ GOLDEN_TEXT = {
 # `bsqrng test --format csv` on a binary bit file of 3 blocks and 4 321 bits more.
 GOLDEN_TEST_CSV = "69e738a87843d82a6dd1996bcb254f6e067b0c07ce31c3c37b8d4d89037edfc5"
 
+# `bsqrng report` stdout on that CSV, as written and with one pass flag flipped.
+GOLDEN_REPORT_STDOUT = {
+    "as-written": "372835dfd00c31564dc59210836f2d1b7896372bc774f5b0ffb96e4088afa965",
+    "flag-flipped": "3cb0357b611eb619a0d1d34242f76cda16b610c1fb664fd03f57b7c1e470ff2d",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -91,11 +101,29 @@ def test_battery_text_digest(name):
     assert _digest(report.to_text().encode()) == GOLDEN_TEXT[name]
 
 
-def test_cli_test_csv_digest(tmp_path, capsys):
+def _cli_test_csv(tmp_path, capsys) -> Path:
     bits_path, report_path = tmp_path / "uniform.bsrb", tmp_path / "report.csv"
     BitStream.from_bits(_uniform(3 * 20_000 + 4_321)).write(bits_path)
     argv = ["test", str(bits_path), "--block-size", "20000", "--alpha", "0.05",
             "--format", "csv", "--out", str(report_path)]
     assert main(argv) == 0
     capsys.readouterr()
-    assert _digest(report_path.read_bytes()) == GOLDEN_TEST_CSV
+    return report_path
+
+
+def test_cli_test_csv_digest(tmp_path, capsys):
+    assert _digest(_cli_test_csv(tmp_path, capsys).read_bytes()) == GOLDEN_TEST_CSV
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_REPORT_STDOUT))
+def test_cli_report_digest(tmp_path, capsys, name):
+    report_path = _cli_test_csv(tmp_path, capsys)
+    if name == "flag-flipped":
+        # block 1's monobit row passes at alpha 0.05; its stored flag now says FAIL
+        text = report_path.read_text()
+        row = next(ln for ln in text.splitlines() if ln.startswith("monobit,1,"))
+        assert row.endswith(",1")
+        report_path.write_text(text.replace(row, row[:-1] + "0"))
+    assert main(["report", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    assert _digest(out.encode()) == GOLDEN_REPORT_STDOUT[name]
