@@ -97,11 +97,6 @@ class BitStream:
 # near cache size, so no stage holds a full-length unpacked or widened array.
 _CHUNK = 1 << 16
 
-# Ones in each byte value.
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8
-)
-
 
 class _Packer:
     """MSB-first packing of bit chunks, carrying a partial byte into the next."""
@@ -175,9 +170,9 @@ def stream_stats(stream: BitStream) -> StreamStats:
     ones = 0
     for chunk, n_bits in _byte_slices(stream):
         whole = n_bits // 8
-        ones += int(_POPCOUNT[chunk[:whole]].sum())
+        ones += int(np.bitwise_count(chunk[:whole]).sum())
         if n_bits % 8:
-            ones += int(_POPCOUNT[chunk[whole] >> (8 - n_bits % 8)])
+            ones += int(np.bitwise_count(chunk[whole] >> (8 - n_bits % 8)))
     ones_fraction = ones / stream.length if stream.length else None
     efficiency = None
     raw = stream.provenance.get("raw_length")

@@ -1,11 +1,14 @@
-"""Statistical randomness tests applied block-wise with pass/fail at 0.01.
+"""Statistical randomness tests applied block-wise, with pass/fail at the
+given significance (default 0.01).
 
 Seven tests of the standard battery are implemented: frequency (monobit),
 block frequency, runs, longest run of ones, cumulative sums (both
 directions), approximate entropy and serial. Each returns a p-value in
 [0, 1]; a block passes a test when every p-value of that test is at or above
 the significance level. The remaining tests of the full battery are reported
-as not run.
+as not run. A ``TestReport`` holds a battery's results as two read-only
+arrays of shape ``(len(COMPONENTS), n_blocks)``, ``p_values`` (float64) and
+``passed`` (bool): row i is ``COMPONENTS[i]`` and column b is block b.
 
 The battery evaluates a group of equal blocks at a time, held as one
 ``(k, n)`` bit array (``_Blocks``): each integer statistic is one row-wise
@@ -22,6 +25,7 @@ over each row in the order a one-block sum would.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -462,14 +466,6 @@ _APPROXIMATE_ENTROPY_M = 4
 _SERIAL_M = 5
 
 
-@dataclass(frozen=True)
-class TestResult:
-    test: str
-    block: int
-    p_value: float
-    passed: bool
-
-
 #: Logical tests and the components each aggregates over, in report order.
 LOGICAL_TESTS: dict[str, tuple[str, ...]] = {
     "monobit": ("monobit",),
@@ -499,30 +495,44 @@ NOT_RUN = (
 _CSV_HEADER = "test,block,p_value,pass"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestReport:
-    """All per-block p-values of a battery run plus pass bookkeeping."""
+    """Every per-block p-value of a battery run and its pass flag.
+
+    ``p_values`` and ``passed`` have shape ``(len(COMPONENTS), n_blocks)``;
+    both are made read-only. The pass flags are authoritative: a report
+    parsed from CSV keeps the stored flags, whatever its p-values.
+    """
 
     block_size: int
-    n_blocks: int
     significance: float
-    results: tuple[TestResult, ...]
+    p_values: np.ndarray
+    passed: np.ndarray
+
+    def __post_init__(self):
+        self.p_values.flags.writeable = self.passed.flags.writeable = False
+
+    @property
+    def n_blocks(self) -> int:
+        return self.p_values.shape[1]
 
     def pass_fraction(self) -> dict[str, float]:
         """Fraction of blocks passing each logical test (all components at once)."""
-        by_key = {(r.test, r.block): r.passed for r in self.results}
         fractions = {}
         for name, components in LOGICAL_TESTS.items():
-            passed_blocks = sum(
-                all(by_key[(c, blk)] for c in components) for blk in range(self.n_blocks)
-            )
-            fractions[name] = passed_blocks / self.n_blocks
+            rows = [COMPONENTS.index(c) for c in components]
+            fractions[name] = float(self.passed[rows].all(axis=0).mean())
         return fractions
+
+    def _rows(self):
+        """((block, component), p-value, pass flag) in report order, as Python values."""
+        keys = itertools.product(range(self.n_blocks), COMPONENTS)
+        return zip(keys, self.p_values.T.ravel().tolist(), self.passed.T.ravel().tolist())
 
     def to_csv(self) -> str:
         lines = [_CSV_HEADER]
-        for r in self.results:
-            lines.append(f"{r.test},{r.block},{r.p_value!r},{int(r.passed)}")
+        for (block, test), p_value, passed in self._rows():
+            lines.append(f"{test},{block},{p_value!r},{int(passed)}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -530,9 +540,9 @@ class TestReport:
             f"block_size={self.block_size} n_blocks={self.n_blocks} "
             f"significance={self.significance:g}",
         ]
-        for r in self.results:
-            verdict = "pass" if r.passed else "FAIL"
-            lines.append(f"{r.test} {r.block} {r.p_value:.6f} {verdict}")
+        for (block, test), p_value, passed in self._rows():
+            verdict = "pass" if passed else "FAIL"
+            lines.append(f"{test} {block} {p_value:.6f} {verdict}")
         for name, frac in self.pass_fraction().items():
             lines.append(f"pass_fraction {name} {frac:.3f}")
         for name in NOT_RUN:
@@ -540,20 +550,16 @@ class TestReport:
         return "\n".join(lines) + "\n"
 
 
-def _groups(bits, block_size: int, n_blocks: int):
+def _groups(stream: BitStream, block_size: int, n_blocks: int):
     """The first ``n_blocks`` blocks in consecutive groups, each as a ``(k,
-    block_size)`` bit array; a ``BitStream`` is unpacked one group at a time."""
+    block_size)`` bit array unpacked from the stream one group at a time."""
     per_group = max(1, _GROUP_BITS // block_size)
-    payload = np.frombuffer(bits.data, dtype=np.uint8) if isinstance(bits, BitStream) else None
+    payload = np.frombuffer(stream.data, dtype=np.uint8)
     for first in range(0, n_blocks, per_group):
         k = min(per_group, n_blocks - first)
         start, stop = first * block_size, (first + k) * block_size
-        if payload is None:
-            rows = bits[start:stop]
-        else:
-            rows = np.unpackbits(payload[start // 8 : (stop + 7) // 8])
-            rows = rows[start % 8 : start % 8 + stop - start]
-        yield rows.reshape(k, block_size)
+        rows = np.unpackbits(payload[start // 8 : (stop + 7) // 8])
+        yield rows[start % 8 : start % 8 + stop - start].reshape(k, block_size)
 
 
 def run_battery(
@@ -563,14 +569,13 @@ def run_battery(
 ) -> TestReport:
     """Partition the input into consecutive blocks and run every test on each.
 
-    Trailing bits short of a block are not tested. The tests run on a group
-    of blocks at a time, and a ``BitStream`` is unpacked one group at a time.
+    Trailing bits short of a block are not tested. Other input than a
+    ``BitStream`` is packed into one first; the tests run on a group of
+    blocks at a time, unpacked from the stream one group at a time.
     """
-    if isinstance(bits, BitStream):
-        n_bits = bits.length
-    else:
-        bits = _as_bits(bits)
-        n_bits = len(bits)
+    if not isinstance(bits, BitStream):
+        bits = BitStream.from_bits(_as_bits(bits))
+    n_bits = bits.length
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
     if block_size < 128:
@@ -602,12 +607,8 @@ def run_battery(
         group.cdf = cdf
         p_values["cumulative_sums_forward"] += cumulative_sums(group, "forward")
         p_values["cumulative_sums_backward"] += cumulative_sums(group, "backward")
-    results = []
-    for blk in range(n_blocks):
-        for name in COMPONENTS:
-            p = p_values[name][blk]
-            results.append(TestResult(name, blk, p, p >= significance))
-    return TestReport(block_size, n_blocks, significance, tuple(results))
+    table = np.array([p_values[name] for name in COMPONENTS])
+    return TestReport(block_size, significance, table, table >= significance)
 
 
 def parse_report_csv(text: str) -> TestReport:
@@ -637,7 +638,7 @@ def parse_report_csv(text: str) -> TestReport:
             raise ValueError(f"battery report CSV: unexpected row {ln!r}")
         if (test, block) in results:
             raise ValueError(f"battery report CSV: duplicate row for {test} block {block}")
-        results[(test, block)] = TestResult(test, block, p_value, passed == "1")
+        results[(test, block)] = (p_value, passed == "1")
     if not results:
         raise ValueError("battery report CSV holds no result rows")
     n_blocks = max(blk for _, blk in results) + 1
@@ -645,4 +646,6 @@ def parse_report_csv(text: str) -> TestReport:
         for name in COMPONENTS:
             if (name, blk) not in results:
                 raise ValueError(f"battery report CSV: no row for {name} block {blk}")
-    return TestReport(0, n_blocks, 0.01, tuple(results.values()))
+    # (p-value, pass flag) of each component and block
+    table = np.array([[results[name, blk] for blk in range(n_blocks)] for name in COMPONENTS])
+    return TestReport(0, 0.01, table[..., 0], table[..., 1] == 1.0)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import math
+import random
 
 import pytest
 
@@ -272,6 +273,19 @@ class TestReportCommand:
         assert code == 0
         assert "pass_fraction" in out
         assert "not_run" in out
+
+    def test_renders_shuffled_rows_in_canonical_order(self, capsys, tmp_path):
+        bits = tmp_path / "r.txt"
+        bits.write_text("".join(random.Random(7).choice("01") for _ in range(3 * 2048)))
+        report_path = tmp_path / "report.csv"
+        run_cli(capsys, "test", str(bits), "--block-size", "2048",
+                "--out", str(report_path))
+        _, as_written, _ = run_cli(capsys, "report", str(report_path))
+        header, *rows = report_path.read_text().splitlines()
+        random.Random(8).shuffle(rows)
+        report_path.write_text("\n".join([header, *rows]) + "\n")
+        code, shuffled, _ = run_cli(capsys, "report", str(report_path))
+        assert code == 0 and shuffled == as_written
 
     def test_rejects_unknown_content(self, capsys, tmp_path):
         path = tmp_path / "odd.csv"

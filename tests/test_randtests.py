@@ -359,9 +359,10 @@ class TestBattery:
     def test_report_structure(self):
         report = run_battery(ideal_bits(3 * 4096, seed=12), 4096)
         assert report.n_blocks == 3
-        assert len(report.results) == 3 * len(COMPONENTS)
-        names = {r.test for r in report.results}
-        assert names == set(COMPONENTS)
+        # row i is COMPONENTS[i], column b is block b
+        assert report.p_values.shape == report.passed.shape == (len(COMPONENTS), 3)
+        assert report.p_values.dtype == np.float64 and report.passed.dtype == bool
+        assert not report.p_values.flags.writeable and not report.passed.flags.writeable
         fractions = report.pass_fraction()
         assert set(fractions) == {
             "monobit", "block_frequency", "runs", "longest_run",
@@ -388,13 +389,13 @@ class TestBattery:
 
     def test_pass_flag_uses_at_least_semantics(self):
         report = run_battery(ideal_bits(4096, seed=2), 2048)
-        for result in report.results:
-            assert result.passed == (result.p_value >= report.significance)
+        assert np.array_equal(report.passed, report.p_values >= report.significance)
 
     def test_csv_round_trip(self):
         report = run_battery(ideal_bits(2 * 2048, seed=8), 2048)
         parsed = parse_report_csv(report.to_csv())
-        assert parsed.results == report.results
+        assert np.array_equal(parsed.p_values, report.p_values)
+        assert np.array_equal(parsed.passed, report.passed)
         assert parsed.n_blocks == report.n_blocks
 
     def test_text_report_lists_not_run(self):
@@ -480,17 +481,19 @@ class TestGroupedBattery:
             report = run_battery(BitStream.from_bits(bits) if as_stream else bits, block_size)
         expected = block_by_block(bits, block_size, n_blocks)
         assert report.n_blocks == n_blocks
-        assert {(r.test, r.block): r.p_value.hex() for r in report.results} == {
-            key: p.hex() for key, p in expected.items()
-        }
+        assert {
+            (name, blk): p.hex()
+            for name, row in zip(COMPONENTS, report.p_values.tolist())
+            for blk, p in enumerate(row)
+        } == {key: p.hex() for key, p in expected.items()}
 
     def test_constant_blocks_match_block_by_block(self):
         bits = np.concatenate([np.zeros(1000, np.uint8), np.ones(1000, np.uint8)] * 3)
         with mock.patch.object(randtests, "_GROUP_BITS", 2000):
             report = run_battery(BitStream.from_bits(bits), 1000)
         expected = block_by_block(bits, 1000, 6)
-        assert [r.p_value.hex() for r in report.results] == [
-            expected[(r.test, r.block)].hex() for r in report.results
+        assert [[p.hex() for p in row] for row in report.p_values.tolist()] == [
+            [expected[(name, blk)].hex() for blk in range(6)] for name in COMPONENTS
         ]
 
     def test_bit_file_is_unpacked_one_group_at_a_time(self):
@@ -504,6 +507,18 @@ class TestGroupedBattery:
             tracemalloc.stop()
         assert peak < 3 << 20, peak
 
+    def test_report_keeps_a_few_bytes_per_result(self):
+        # 2**18 bits in 128-bit blocks: 2 048 blocks of nine p-values each,
+        # held as one float64 and one bool per p-value
+        bits = ideal_bits(1 << 18, seed=6)
+        tracemalloc.start()
+        try:
+            report = run_battery(bits, 128)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= 16 * len(COMPONENTS) * report.n_blocks, kept
+
 
 class TestCalibration:
     def test_p_value_uniformity_on_ideal_generator(self):
@@ -513,10 +528,7 @@ class TestCalibration:
         n_blocks, block = 60, 20_000
         bits = ideal_bits(n_blocks * block, seed=77)
         report = run_battery(bits, block)
-        by_test = {}
-        for r in report.results:
-            by_test.setdefault(r.test, []).append(r.p_value)
-        for name, pvals in by_test.items():
+        for name, pvals in zip(COMPONENTS, report.p_values):
             counts, _ = np.histogram(pvals, bins=10, range=(0.0, 1.0))
             expected = len(pvals) / 10
             chi_sq = float(((counts - expected) ** 2 / expected).sum())
