@@ -28,6 +28,9 @@ GOLDEN_RUNS = {
     ("mix:0.5", 8.0, 0.6, 0.5): "333f4b3ac711103d9ea05c83890cd754e3bc584e1b971ed714c0746b4904e50b",
     # 66 x 66 = 4356 (m, n) rows, more than 1024.
     ("indist", 40.0, 0.3, 0.9): "d094536bbc1a89866bf5d8494d5fc5b2dfb6b4fec1974a1b2c269d435cf340d4",
+    # The routed branch above total 56, where binomial cumsums end below 1.
+    ("dist", 40.0, 0.3, 0.9): "47df88b4402fd4d5f444e3ad8275d28cf3d4642c1fa6338da31713f777bb1a5f",
+    ("mix:0.5", 40.0, 0.3, 0.9): "9ac05b795ffdfcb1f31297c92cecb61f96dbb552890c9106a49060551d15e1a1",
 }
 
 GOLDEN_GENERATE_ARGS = (
