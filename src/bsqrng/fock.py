@@ -2,9 +2,10 @@
 
 Weak coherent inputs with uniformly random phases are diagonal in photon
 number, so everything reduces to Poisson-weighted Fock-state transforms.
-The splitter's transform is built once per input photon total t: row m of a
-(t+1) x (t+1) array is the output law of the input (m, t - m), taken from
-exact integer Krawtchouk coefficients, so it stays unitary at any total.
+The interfering splitter's transform is built once per input photon total t:
+row m of a (t+1) x (t+1) array is the output law of the input (m, t - m),
+taken from exact integer Krawtchouk coefficients, so it stays unitary at any
+total. Without interference every input of total t has one binomial law.
 Supported source configurations: a single weak coherent state plus vacuum,
 two indistinguishable weak coherent states (interfering), two mutually
 distinguishable ones (no interference), and a convex mixture of the last two.
@@ -200,17 +201,15 @@ def _interfering_rows(total: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def _routed_rows(total: int) -> np.ndarray:
-    """Routed splitter rows of one input total, read-only.
+def _binomial_row(total: int) -> np.ndarray:
+    """Output law of any input of ``total`` photons without interference.
 
     Each photon takes either output with probability 1/2 on its own, so the
     first output holds Binomial(total, 1/2) photons whatever the input split
-    (Vandermonde's identity): every row is that one binomial row. This is the
-    no-interference transform used for mutually distinguishable inputs.
+    (Vandermonde's identity). This is the law of mutually distinguishable
+    inputs; from two Poisson(mu/2) arms it gives two such output modes.
     """
-    binomial = [math.comb(total, M) / (1 << total) for M in range(total + 1)]
-    return np.broadcast_to(np.array(binomial), (total + 1, total + 1))
+    return np.array([math.comb(total, M) / (1 << total) for M in range(total + 1)])
 
 
 def bs_output_amplitudes(input_pair: tuple[int, int]) -> np.ndarray:
@@ -244,10 +243,11 @@ def output_joint_distribution(
 
     The interfering pair sums the squared splitter amplitudes over all Fock
     inputs, weighted by their Poisson probabilities; photon-number
-    conservation restricts each output total to its input total. The single
-    and distinguishable sources produce two independent Poisson(mu_eff/2)
-    output modes; the distinguishable case is evaluated through explicit
-    binomial routing of each arm. A mixture combines the two convexly.
+    conservation restricts each output total to its input total. Without
+    interference every photon total routes binomially (``_binomial_row``),
+    so the single and distinguishable sources leave two independent
+    Poisson(mu_eff/2) output modes: the arm weights themselves. A mixture
+    combines the two convexly.
 
     ``min_total`` forces enumeration at least up to that total photon number,
     regardless of the policy bound.
@@ -258,17 +258,13 @@ def output_joint_distribution(
     weights = _arm_weights(mu_eff, bound)
 
     kind = source.kind
-    if kind is SourceKind.SINGLE:
+    if kind in (SourceKind.SINGLE, SourceKind.DISTINGUISHABLE):
         probs = weights
     elif kind is SourceKind.INDISTINGUISHABLE:
-        probs = _transformed(weights, _interfering_rows)
-    elif kind is SourceKind.DISTINGUISHABLE:
-        probs = _transformed(weights, _routed_rows)
+        probs = _transformed(weights)
     else:
         w = source.overlap
-        interfering = _transformed(weights, _interfering_rows)
-        routed = _transformed(weights, _routed_rows)
-        probs = w * interfering + (1.0 - w) * routed
+        probs = w * _transformed(weights) + (1.0 - w) * weights
 
     probs.setflags(write=False)
     return JointPhotonDistribution(probs, mu_eff, source, math.fsum(probs.ravel()))
@@ -291,14 +287,14 @@ def _arm_weights(mu: float, bound: int) -> np.ndarray:
     return weights
 
 
-def _transformed(weights: np.ndarray, rows) -> np.ndarray:
-    """Output table of inputs weighted by ``weights`` through splitter rows.
+def _transformed(weights: np.ndarray) -> np.ndarray:
+    """Output table of inputs weighted by ``weights`` through the interfering splitter.
 
     Photon number is conserved, so each input total t fills the output
-    anti-diagonal m + n = t with the weighted sum of the rows ``rows(t)``.
+    anti-diagonal m + n = t with the weighted sum of ``_interfering_rows(t)``.
     """
     out = np.zeros_like(weights)
     for t in range(len(weights)):
         m = np.arange(t + 1)
-        out[m, t - m] = (weights[m, t - m][:, None] * rows(t)).sum(axis=0)
+        out[m, t - m] = (weights[m, t - m][:, None] * _interfering_rows(t)).sum(axis=0)
     return out

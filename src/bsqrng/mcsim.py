@@ -14,8 +14,9 @@ bit-0 and bit-1 clicks; words 6 and 7 are unused. A word w is read as the
 53-bit draw x = w >> 11, which stands for u = x * 2**-53, and every test on
 it is an exact integer comparison: u < p exactly when x < ceil(p * 2**53)
 (a click, or the interfering branch at p = overlap), and an inverse-CDF
-lookup returns the number of entries c of its row with ceil(c * 2**53) <= x,
-capped at the last column.
+lookup returns the number of entries c of its row with ceil(c * 2**53) <= x.
+A splitter row of input total t holds 1.0 from entry t on, so its lookup
+stops at the row's own total wherever the row's cumsum ends.
 This internal generator is simulation plumbing only; the randomness being
 modeled is the physics.
 """
@@ -29,7 +30,7 @@ from enum import IntEnum
 import numpy as np
 
 from .detection import DetectorPair
-from .fock import SourceKind, SourceModel, _interfering_rows, _routed_rows
+from .fock import SourceKind, SourceModel, _binomial_row, _interfering_rows
 
 _WORDS_PER_GATE = 8  # two Philox blocks of four 64-bit outputs each
 _BLOCKS_PER_GATE = 2
@@ -234,8 +235,12 @@ class _GuideTable:
 class _SamplerTables:
     """Precomputed inverse-CDF tables for one configuration.
 
-    Splitter CDF rows are laid out per input pair (m, n), filled total by
-    total; a mixture stacks the routed rows below the interfering ones. The
+    Splitter CDF rows are laid out per law. The interfering law has one row
+    per input pair (m, n), at row m * stride + n with stride B + 1 for arm
+    totals up to A and B. The routed law depends on the total t = m + n
+    alone, so it has one row per total, at row routed_offset + t; a mixture
+    stacks these below the interfering rows. A row of total t holds its
+    cumsum in entries 0..t-1 and 1.0 from t on, so a lookup stops at t. The
     tables are built once per run and amortize over millions of gates.
     """
 
@@ -256,30 +261,25 @@ class _SamplerTables:
         self.arm_b = None if single else self.arm_a
 
         width = max_arm_a + max_arm_b + 1
-        self._row_stride = max_arm_b + 1
-        self.n_pairs = (max_arm_a + 1) * self._row_stride
-
-        def build(rows):
-            table = np.ones((max_arm_a + 1, max_arm_b + 1, width))
-            for t in range(width):
+        interfering = kind in (SourceKind.INDISTINGUISHABLE, SourceKind.MIXTURE)
+        routing = kind is not SourceKind.INDISTINGUISHABLE
+        # Row of input (m, n) in the first law laid out: m * stride + n.
+        self.stride = max_arm_b + 1 if interfering else 1
+        self.routed_offset = (max_arm_a + 1) * self.stride if interfering else 0
+        cdf = np.ones((self.routed_offset + (width if routing else 0), width))
+        for t in range(width):
+            if interfering:
                 m = np.arange(max(0, t - max_arm_b), min(t, max_arm_a) + 1)
-                table[m, t - m, : t + 1] = np.cumsum(rows(t)[m], axis=1)
-            return table.reshape(-1, width)
-
-        parts = []
-        if kind in (SourceKind.INDISTINGUISHABLE, SourceKind.MIXTURE):
-            parts.append(build(_interfering_rows))
-        if kind is not SourceKind.INDISTINGUISHABLE:
-            parts.append(build(_routed_rows))
-        self.splitter = _GuideTable(np.concatenate(parts))
+                rows = _interfering_rows(t)[m, :t]
+                cdf[m * self.stride + t - m, :t] = np.cumsum(rows, axis=1)
+            if routing:
+                cdf[self.routed_offset + t, :t] = np.cumsum(_binomial_row(t)[:t])
+        self.splitter = _GuideTable(cdf)
 
         # Per photon number in a mode, draws below its threshold click.
         self.click0, self.click1 = map(_thresholds, cfg.detectors.click_probabilities(width))
         # Draws at or above this threshold take the routed branch of a mixture.
         self.routed = int(_thresholds(cfg.source.overlap))
-
-    def row_index(self, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-        return m * self._row_stride + n
 
 
 def _simulate_range(
@@ -298,9 +298,11 @@ def _simulate_range(
         n = 0
     else:
         n = tables.arm_b.lookup(draws(_SLOT_ARM_B))
-    rows = tables.row_index(m, n)
+    rows = m * tables.stride + n
     if cfg.source.kind is SourceKind.MIXTURE:
-        rows += tables.n_pairs * (draws(_SLOT_BRANCH) >= tables.routed)
+        # A routed gate reads the row of its total below the interfering rows.
+        routed = draws(_SLOT_BRANCH) >= tables.routed
+        np.copyto(rows, m + n + tables.routed_offset, where=routed)
     out_m = tables.splitter.lookup(draws(_SLOT_SPLITTER), rows)
     out_n = m + n - out_m
 

@@ -13,8 +13,8 @@ from bsqrng.fock import (
     MAX_INPUT_TOTAL,
     SourceModel,
     TruncationPolicy,
+    _binomial_row,
     _interfering_rows,
-    _routed_rows,
     bs_output_amplitudes,
     output_joint_distribution,
     truncation_bound,
@@ -165,8 +165,8 @@ class TestSplitterTransform:
             for m in range(total + 1):
                 amp = bs_output_amplitudes((m, total - m))
                 assert abs(np.sum(np.abs(amp) ** 2) - 1.0) <= 1e-13, (m, total - m)
-            for rows in (_interfering_rows(total), _routed_rows(total)):
-                assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-13, total
+            assert np.abs(_interfering_rows(total).sum(axis=1) - 1.0).max() <= 1e-13, total
+            assert abs(_binomial_row(total).sum() - 1.0) <= 1e-13, total
 
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 0), (3, 5), (10, 10), (59, 59), (100, 100)])
     def test_rows_match_exact_oracle(self, m, n):
@@ -222,7 +222,7 @@ class TestJointDistribution:
         dist = output_joint_distribution(SourceModel.distinguishable_pair(), mu)
         bound = truncation_bound(mu)
         oracle = routing_oracle(mu, bound)
-        assert _routed_rows(2)[1].tolist() == [0.25, 0.5, 0.25]
+        assert _binomial_row(2).tolist() == [0.25, 0.5, 0.25]
         support = {(int(m), int(n)) for m, n in np.argwhere(dist.probs > 0.0)}
         assert support == set(oracle)
         for key, expected in oracle.items():

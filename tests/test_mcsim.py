@@ -23,6 +23,7 @@ from bsqrng.mcsim import (
     Outcome,
     SimConfig,
     _GuideTable,
+    _SamplerTables,
     _simulate_range,
     _thresholds,
     gate_uniforms,
@@ -206,6 +207,30 @@ class TestSplitterSampling:
         assert np.abs(_interfering_rows(600).sum(axis=1) - 1.0).max() <= 1e-13
         # A total below the last one built starts again from total 0.
         assert _krawtchouk_rows(2).tolist() == [[1, 2, 1], [1, 0, -1], [1, -2, 1]]
+
+    @pytest.mark.parametrize("source", [INDIST, SourceModel.distinguishable_pair()],
+                             ids=["indist", "dist"])
+    def test_top_draw_stays_within_the_input_total(self, source):
+        # A row's cumsum can end an ulp or two below 1. The top draw must still
+        # land within the input total, or out_n is -1 and indexes a click table.
+        tables = _SamplerTables(make_cfg(mu=40.0, source=source))
+        k = np.arange(tables.arm_a.width)
+        m, n = (a.ravel() for a in np.meshgrid(k, k, indexing="ij"))
+        out = tables.splitter.lookup(np.full(m.size, DRAWS - 1), m * tables.stride + n)
+        assert np.all(out <= m + n)
+
+    @pytest.mark.parametrize("label, mu, limit_mb", [("dist", 40.0, 8), ("mix:0.5", 20.0, 24)])
+    def test_table_build_peak_memory(self, label, mu, limit_mb):
+        # The routed law takes one row per photon total.
+        cfg = make_cfg(mu=mu, source=SourceModel.from_label(label))
+        _SamplerTables(cfg)  # the splitter rows are cached from here on
+        tracemalloc.start()
+        try:
+            _SamplerTables(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
 
 class TestAgreementWithAnalytics:
