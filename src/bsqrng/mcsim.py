@@ -30,7 +30,15 @@ from enum import IntEnum
 import numpy as np
 
 from .detection import DetectorPair
-from .fock import SourceKind, SourceModel, _binomial_row, _interfering_rows
+from .fock import (
+    SourceKind,
+    SourceModel,
+    TruncationPolicy,
+    _binomial_row,
+    _interfering_rows,
+    truncation_bound,
+)
+from .special import poisson_cdf
 
 _WORDS_PER_GATE = 8  # two Philox blocks of four 64-bit outputs each
 _BLOCKS_PER_GATE = 2
@@ -46,12 +54,13 @@ _SLOT_SPLITTER = 3
 _SLOT_CLICK0 = 4
 _SLOT_CLICK1 = 5
 
-_PHOTON_TAIL = 1e-15
+# Each arm table keeps all but this much of its Poisson law.
+_ARM_TAIL = 1e-15
 
 # Largest input photon total the splitter tables hold. The tables take about
 # total^3 / 4 floats per branch, and their exact Krawtchouk rows are built
-# total by total from big integers, so brighter runs are refused up front.
-# Indistinguishable pairs at mu 90 reach total 216.
+# total by total from big integers, so brighter runs are refused up front. On
+# a 0.25 grid that is from mu 149.75 for a single arm and 116.75 for a pair.
 MAX_TABLE_TOTAL = 256
 
 
@@ -162,23 +171,6 @@ def _thresholds(p: np.ndarray | float) -> np.ndarray:
     return np.ceil(scaled, out=scaled).astype(np.int64)
 
 
-def _poisson_cdf_array(mean: float, max_k: int) -> np.ndarray:
-    """Poisson CDF table covering all but ~1e-15 of the mass.
-
-    The table stops at k = max_k at the latest, so a caller that needs the
-    tail to end by then can tell from its length that it does not.
-    """
-    cap = min(int(mean + 12.0 * math.sqrt(mean) + 60.0), max_k)
-    terms = [math.exp(-mean)]
-    cum = terms[0]
-    k = 0
-    while cum < 1.0 - _PHOTON_TAIL and k < cap:
-        k += 1
-        terms.append(terms[-1] * mean / k)
-        cum += terms[-1]
-    return np.cumsum(terms)
-
-
 class _GuideTable:
     """Exact inverse-CDF lookup over the rows of a CDF table, on 53-bit draws.
 
@@ -247,17 +239,21 @@ class _SamplerTables:
     def __init__(self, cfg: SimConfig):
         kind = cfg.source.kind
         single = kind is SourceKind.SINGLE
-        # One arm past the cap is enough to tell that the total exceeds it.
-        arm_cdf = _poisson_cdf_array(cfg.mu if single else cfg.mu / 2.0,
-                                     MAX_TABLE_TOTAL + 1)
-        max_arm_a = len(arm_cdf) - 1
-        max_arm_b = 0 if single else max_arm_a
-        if max_arm_a + max_arm_b > MAX_TABLE_TOTAL:
+        mean = cfg.mu if single else cfg.mu / 2.0
+        # An arm's table stops where truncation_bound does, so it fits under
+        # the cap exactly when the arm's share of the cap holds all but the tail.
+        cap_arm = MAX_TABLE_TOTAL if single else MAX_TABLE_TOTAL // 2
+        if poisson_cdf(cap_arm, mean) < 1.0 - _ARM_TAIL:
             raise OverflowError(
                 f"mu {cfg.mu:g} needs splitter tables above photon total "
                 f"{MAX_TABLE_TOTAL}, the simulator's cap (mcsim.MAX_TABLE_TOTAL)"
             )
-        self.arm_a = _GuideTable(arm_cdf[None, :])
+        max_arm_a = truncation_bound(mean, TruncationPolicy(_ARM_TAIL))
+        max_arm_b = 0 if single else max_arm_a
+        terms = [math.exp(-mean)]
+        for k in range(1, max_arm_a + 1):
+            terms.append(terms[-1] * mean / k)
+        self.arm_a = _GuideTable(np.cumsum(terms)[None, :])
         self.arm_b = None if single else self.arm_a
 
         width = max_arm_a + max_arm_b + 1

@@ -360,6 +360,16 @@ class TestExitCodes:
         assert str(MAX_TABLE_TOTAL) in err
         assert not out.exists()
 
+    def test_bright_single_arm_below_the_cap_runs(self, capsys, tmp_path):
+        # Its arm table ends at photon total 256 at the latest.
+        out = tmp_path / "x.bits"
+        code, _, err = run_cli(
+            capsys, "generate", "--source", "single", "--mu", "112",
+            "--gates", "1000", "--out", str(out),
+        )
+        assert code == 0, err
+        assert out.exists()
+
     def test_usage_errors_map_to_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["sweep", "--points", "not-a-number"])

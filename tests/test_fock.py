@@ -91,11 +91,11 @@ class TestTruncationBound:
         assert all(b1 <= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
     def test_respects_policy(self):
-        assert truncation_bound(1.0, TruncationPolicy(1e-2)) <= truncation_bound(1.0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(0.5)
-        with pytest.raises(ValueError):
-            TruncationPolicy(0.0)
+        assert truncation_bound(1.0) <= truncation_bound(1.0, TruncationPolicy(1e-9))
+        # A tail above 1e-3 could cut a table below 99.9% of its law.
+        for tail in (0.5, 0.01, 2e-3, 0.0):
+            with pytest.raises(ValueError):
+                TruncationPolicy(tail)
 
 
 def splitter_oracle(m, n):
@@ -292,22 +292,17 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             output_joint_distribution(SourceModel.single(), 0.0)
 
-    def test_loose_policy_below_mass_floor_raises(self):
-        # a 1% tail at this mean stops short of the required 99.9% mass
-        from bsqrng.fock import TruncationError
-
-        with pytest.raises(TruncationError) as info:
-            output_joint_distribution(SourceModel.single(), 5.0, TruncationPolicy(0.01))
-        assert "below 0.999 for mu_eff=5.0" in str(info.value)
-
     @pytest.mark.parametrize("label", ["single", "indist", "dist", "mix:0.5"])
     def test_default_policy_meets_mass_floor(self, label):
-        # The default 1e-3 tail leaves at least the 99.9% floor, so the CLI's
-        # sweep needs no TruncationError branch for its rows.
+        # A table keeps at least 1 - tail_mass of its law, so the default 1e-3
+        # tail leaves the 99.9% floor and the CLI's sweep needs no error
+        # branch for its rows. The tight tails run on a shorter grid.
         source = SourceModel.from_label(label)
-        for mu in np.geomspace(1e-6, 150.0, 300):
-            dist = output_joint_distribution(source, float(mu))
-            assert dist.truncation_mass >= 0.999, mu
+        for tail, mu_max, points in ((1e-3, 150.0, 300), (1e-9, 20.0, 40), (1e-12, 20.0, 40)):
+            policy = TruncationPolicy(tail)
+            for mu in np.geomspace(1e-6, mu_max, points):
+                dist = output_joint_distribution(source, float(mu), policy)
+                assert dist.truncation_mass >= 1.0 - tail, (tail, mu)
 
     def test_overlap_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 """Golden digests of seeded simulator output: the seed-to-bytes contract.
 
 Each digest is the SHA-256 of the outcome bytes ``run`` returns for one
-configuration. A change to the Philox key or counter, the 8-uniform slot
-layout, the sampling tables or the classification changes a digest. Every
-configuration is taken at two chunk sizes; 70 000 gates spans more than one
-chunk at both.
+configuration. A change to the Philox key or counter, the eight raw words
+per gate and the slot each is read from, the sampling tables or the
+classification changes a digest. Every configuration is taken at two chunk
+sizes; 70 000 gates spans more than one chunk at both.
 """
 
 import hashlib

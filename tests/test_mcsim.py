@@ -323,6 +323,29 @@ class TestRunInterface:
             run(make_cfg(mu=mu))
         assert f"mu {mu:g}" in str(info.value)
 
+    @pytest.mark.parametrize("source", [SINGLE, INDIST], ids=lambda s: s.label)
+    def test_photon_total_refusal_is_monotone_in_mu(self, monkeypatch, source):
+        import bsqrng.mcsim as mcsim
+
+        class Accepted(Exception):
+            pass
+
+        def accepted(*args, **kwargs):
+            raise Accepted
+
+        monkeypatch.setattr(mcsim, "_GuideTable", accepted)
+        refused = []
+        for mu in np.arange(100.0, 160.25, 0.5):
+            try:
+                _SamplerTables(make_cfg(mu=float(mu), source=source))
+            except OverflowError:
+                refused.append(True)
+            except Accepted:
+                refused.append(False)
+        # Once a mu is refused, every brighter one is refused too.
+        assert refused == sorted(refused)
+        assert not refused[0] and refused[-1]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             make_cfg(n_gates=0)
