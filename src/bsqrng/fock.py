@@ -119,9 +119,9 @@ class JointPhotonDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        bad = np.argwhere(~((self.probs >= -1e-12) & (self.probs <= 1.0 + 1e-12)))
-        if len(bad):
-            m, n = bad[0]
+        inside = (self.probs >= -1e-12) & (self.probs <= 1.0 + 1e-12)
+        if not inside.all():
+            m, n = np.argwhere(~inside)[0]
             raise ValueError(f"probability out of range at ({m}, {n}): {self.probs[m, n]}")
 
     @property
@@ -130,14 +130,53 @@ class JointPhotonDistribution:
 
 
 def truncation_bound(mu: float, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> int:
-    """Smallest k with Poisson(mu) CDF at k >= 1 - tail_mass."""
+    """Smallest k with Poisson(mu) CDF at k >= 1 - tail_mass.
+
+    The scan starts at ``_scan_start``: the last k from floor(mu) - 1 up whose
+    pmf is at least 16 tail_mass, or floor(mu) - 1 (at least 0) when none is.
+    No j below that start can pass, so the answer is the one a scan from 0
+    finds: P(X <= j) <= 1 - pmf(start) <= 1 - 16 tail_mass, and ``poisson_cdf``
+    is off by a few ulps only; below floor(mu) - 1 the CDF is at most 1/2, as
+    the Poisson median is at least mu - ln 2.
+    """
     if mu <= 0.0:
         raise ValueError(f"mean photon number must be positive, got {mu}")
+    if not math.isfinite(mu):
+        raise ValueError(f"mean photon number must be finite, got {mu}")
     target = 1.0 - policy.tail_mass
-    k = 0
+    k = _scan_start(mu, policy.tail_mass)
     while poisson_cdf(k, mu) < target:
         k += 1
     return k
+
+
+def _scan_start(mu: float, tail_mass: float) -> int:
+    """Largest k >= floor(mu) - 1 with Poisson(mu) pmf(k) >= 16 tail_mass.
+
+    The pmf rises up to its mode floor(mu) and falls after it, so the k that
+    pass form one run through the mode: a doubling step brackets its upper
+    end and a bisection finds it. Without a passing k, floor(mu) - 1 (or 0).
+    """
+    mode = math.floor(mu)
+    level = math.log(16.0 * tail_mass)
+    log_mu = math.log(mu)
+
+    def passes(k: int) -> bool:
+        return -mu + k * log_mu - math.lgamma(k + 1) >= level
+
+    if not passes(mode):
+        return max(0, mode - 1)
+    lo, step = mode, 1
+    while passes(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step  # passes(lo) holds and passes(hi) does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @lru_cache(maxsize=None)
@@ -245,27 +284,29 @@ def output_joint_distribution(
     regardless of the policy bound.
     """
     bound = max(truncation_bound(mu_eff, policy), min_total)
-    weights = _arm_weights(mu_eff, bound)
-
     kind = source.kind
     if kind in (SourceKind.SINGLE, SourceKind.DISTINGUISHABLE):
-        probs = weights
+        probs = _arm_weights(mu_eff, bound)
     elif kind is SourceKind.INDISTINGUISHABLE:
-        probs = _transformed(weights)
+        probs = _interfering_table(mu_eff, bound)
     else:
         w = source.overlap
-        probs = w * _transformed(weights) + (1.0 - w) * weights
-
-    probs.setflags(write=False)
+        probs = w * _interfering_table(mu_eff, bound) + (1.0 - w) * _arm_weights(mu_eff, bound)
+        probs.setflags(write=False)
     return JointPhotonDistribution(probs)
 
 
+# One sweep point asks for the same (mu, bound) from up to four sources, at
+# two bounds: the contrast's tight one and the default. Two entries hold both
+# and keep nothing from the points before.
+@lru_cache(maxsize=2)
 def _arm_weights(mu: float, bound: int) -> np.ndarray:
     """Joint probability of (m, n) photons in the two input arms, m + n <= bound.
 
     The product of two independent Poisson(mu/2) laws,
     exp(-mu) mu^(m+n) / (m! n! 2^(m+n)), taken in log space; ``math.exp``
-    per element keeps each value equal to its scalar evaluation.
+    per element keeps each value equal to its scalar evaluation. Memoized per
+    (mu, bound), last two kept, and read-only, since callers share the array.
     """
     lf = _log_factorials(bound)
     k = np.arange(bound + 1)
@@ -273,8 +314,21 @@ def _arm_weights(mu: float, bound: int) -> np.ndarray:
     log_w = -mu + total * (math.log(mu) - _LN2) - lf[:, None] - lf[None, :]
     inside = total <= bound
     weights = np.zeros((bound + 1, bound + 1))
-    weights[inside] = [math.exp(x) for x in log_w[inside]]
+    weights[inside] = np.fromiter(map(math.exp, log_w[inside].tolist()), float)
+    weights.setflags(write=False)
     return weights
+
+
+@lru_cache(maxsize=2)
+def _interfering_table(mu: float, bound: int) -> np.ndarray:
+    """The interfering pair's output table: ``_arm_weights`` through the splitter.
+
+    Memoized like ``_arm_weights`` (per (mu, bound), last two kept, read-only),
+    so the indistinguishable pair and a mixture at one point share one build.
+    """
+    table = _transformed(_arm_weights(mu, bound))
+    table.setflags(write=False)
+    return table
 
 
 def _transformed(weights: np.ndarray) -> np.ndarray:
@@ -282,9 +336,13 @@ def _transformed(weights: np.ndarray) -> np.ndarray:
 
     Photon number is conserved, so each input total t fills the output
     anti-diagonal m + n = t with the weighted sum of ``_interfering_rows(t)``.
+    In a raveled table of side B + 1 that anti-diagonal is the slice
+    [t : t B + t + 1 : B], m = 0..t in order.
     """
-    out = np.zeros_like(weights)
+    out = np.zeros(weights.shape)
+    flat_out, flat_w = out.reshape(-1), weights.reshape(-1)
+    step = max(len(weights) - 1, 1)  # side 1 holds total 0 alone
     for t in range(len(weights)):
-        m = np.arange(t + 1)
-        out[m, t - m] = (weights[m, t - m][:, None] * _interfering_rows(t)).sum(axis=0)
+        diagonal = slice(t, t * step + t + 1, step)
+        flat_out[diagonal] = (flat_w[diagonal][:, None] * _interfering_rows(t)).sum(axis=0)
     return out

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bsqrng import fock
+from bsqrng.cli import SweepSpec, sweep
 from bsqrng.detection import coincidence_contrast
 from bsqrng.fock import (
     MAX_INPUT_TOTAL,
@@ -15,10 +17,12 @@ from bsqrng.fock import (
     TruncationPolicy,
     _binomial_row,
     _interfering_rows,
+    _transformed,
     bs_output_amplitudes,
     output_joint_distribution,
     truncation_bound,
 )
+from bsqrng.special import poisson_cdf
 
 TIGHT = TruncationPolicy(tail_mass=1e-9)
 
@@ -28,6 +32,17 @@ means = st.floats(min_value=0.05, max_value=8.0)
 
 def poisson_pmf(mean, k):
     return math.exp(-mean) * mean**k / math.factorial(k)
+
+
+SCAN_TAILS = (1e-3, 1e-9, 1e-12, 1e-15)
+
+
+def scan_from_zero(mu, tail):
+    """truncation_bound's answer by the plain scan: first k from 0 that passes."""
+    k = 0
+    while poisson_cdf(k, mu) < 1.0 - tail:
+        k += 1
+    return k
 
 
 def poisson_pair_table(mu, min_total=0):
@@ -96,6 +111,42 @@ class TestTruncationBound:
         for tail in (0.5, 0.01, 2e-3, 0.0):
             with pytest.raises(ValueError):
                 TruncationPolicy(tail)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_rejects_non_finite_mean(self, mu):
+        with pytest.raises(ValueError, match="finite"):
+            truncation_bound(mu)
+        with pytest.raises(ValueError, match="finite"):
+            output_joint_distribution(SourceModel.single(), mu)
+
+    @pytest.mark.parametrize("tail", SCAN_TAILS)
+    def test_scan_matches_scan_from_zero_on_a_dense_grid(self, tail):
+        policy = TruncationPolicy(tail)
+        for mu in map(float, np.geomspace(1e-6, 300.0, 1000)):
+            assert truncation_bound(mu, policy) == scan_from_zero(mu, tail), mu
+
+    @given(st.floats(min_value=1e-6, max_value=300.0), st.sampled_from(SCAN_TAILS))
+    def test_scan_matches_scan_from_zero(self, mu, tail):
+        assert truncation_bound(mu, TruncationPolicy(tail)) == scan_from_zero(mu, tail)
+
+    @pytest.mark.parametrize("tail", SCAN_TAILS)
+    def test_scan_makes_few_cdf_calls(self, tail, monkeypatch):
+        # The scan starts where the pmf falls to 16 tail, so it walks only
+        # the few steps from there to the answer: at most 42 up to mu 300
+        # (tail 1e-3, near mu 300), bounded here by 48. A scan from k = 0
+        # takes about mu + 3 sqrt(mu) steps, some 350 at mu 300.
+        calls = []
+
+        def counting(k, mu):
+            calls.append(k)
+            return poisson_cdf(k, mu)
+
+        monkeypatch.setattr(fock, "poisson_cdf", counting)
+        policy = TruncationPolicy(tail)
+        for mu in np.geomspace(1e-6, 300.0, 200):
+            calls.clear()
+            truncation_bound(float(mu), policy)
+            assert len(calls) <= 48, (mu, len(calls))
 
 
 def splitter_oracle(m, n):
@@ -307,6 +358,101 @@ class TestJointDistribution:
     def test_overlap_validation(self):
         with pytest.raises(ValueError):
             SourceModel.partial_mixture(1.5)
+
+
+def arm_weights_by_list(mu, bound):
+    """Reference arm weights: one ``math.exp`` per entry, gathered in a list."""
+    lf = np.array([math.lgamma(i + 1) for i in range(bound + 1)])
+    k = np.arange(bound + 1)
+    total = k[:, None] + k[None, :]
+    log_w = -mu + total * (math.log(mu) - math.log(2.0)) - lf[:, None] - lf[None, :]
+    inside = total <= bound
+    weights = np.zeros((bound + 1, bound + 1))
+    weights[inside] = [math.exp(x) for x in log_w[inside]]
+    return weights
+
+
+def transformed_by_fancy_index(weights):
+    """Reference ``_transformed``: each anti-diagonal picked by index arrays."""
+    out = np.zeros_like(weights)
+    for t in range(len(weights)):
+        m = np.arange(t + 1)
+        out[m, t - m] = (weights[m, t - m][:, None] * _interfering_rows(t)).sum(axis=0)
+    return out
+
+
+def reference_table(source, mu, policy, min_total):
+    """``output_joint_distribution``'s table built from the two forms above."""
+    bound = max(scan_from_zero(mu, policy.tail_mass), min_total)
+    weights = arm_weights_by_list(mu, bound)
+    if source.label in ("single", "dist"):
+        return weights
+    if source.label == "indist":
+        return transformed_by_fancy_index(weights)
+    w = source.overlap
+    return w * transformed_by_fancy_index(weights) + (1.0 - w) * weights
+
+
+def clear_table_caches():
+    fock._arm_weights.cache_clear()
+    fock._interfering_table.cache_clear()
+
+
+ALL_SOURCES = ("single", "indist", "dist", "mix:0.5")
+# (policy, min_total) as the contrast and the sweep rows ask for them.
+REQUESTS = ((TruncationPolicy(1e-12), 2), (fock.DEFAULT_TRUNCATION, 0))
+
+
+class TestTableBuilds:
+    """Each table is built once per (mu, bound) and equals the reference forms bit for bit."""
+
+    def test_transformed_matches_fancy_index_form(self):
+        rng = np.random.default_rng(2016)
+        for bound in range(61):
+            weights = rng.random((bound + 1, bound + 1))
+            expected = transformed_by_fancy_index(weights)
+            assert np.array_equal(_transformed(weights), expected), bound
+
+    @pytest.mark.parametrize("label", ALL_SOURCES)
+    @pytest.mark.parametrize("mu", [1e-6, 0.05, 0.7, 2.1, 9.3, 40.0])
+    def test_cold_and_warm_tables_are_equal_and_read_only(self, label, mu):
+        source = SourceModel.from_label(label)
+        for policy, min_total in REQUESTS:
+            expected = reference_table(source, mu, policy, min_total)
+            clear_table_caches()
+            cold = output_joint_distribution(source, mu, policy, min_total=min_total).probs
+            clear_table_caches()
+            for other in ALL_SOURCES:
+                for other_policy, other_min in REQUESTS:
+                    output_joint_distribution(
+                        SourceModel.from_label(other), mu, other_policy, min_total=other_min
+                    )
+            warm = output_joint_distribution(source, mu, policy, min_total=min_total).probs
+            for probs in (cold, warm):
+                assert np.array_equal(probs, expected)
+                assert not probs.flags.writeable
+
+    def test_sweep_builds_each_table_at_most_twice_per_point(self, monkeypatch):
+        # Each arm-weight build reads the log factorials once; each
+        # interfering table runs the splitter transform once.
+        builds = {"weights": 0, "transform": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                builds[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(fock, "_log_factorials", counted("weights", fock._log_factorials))
+        monkeypatch.setattr(fock, "_transformed", counted("transform", fock._transformed))
+        clear_table_caches()
+        points = 12
+        sources = tuple(map(SourceModel.from_label, ALL_SOURCES))
+        spec = SweepSpec(0.05, 20.0, points, sources=sources)
+        assert len(sweep(spec)) == 4 * points
+        assert points <= builds["weights"] <= 2 * points
+        assert points <= builds["transform"] <= 2 * points
 
 
 class TestSourceLabels:
