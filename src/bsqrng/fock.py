@@ -111,9 +111,8 @@ class JointPhotonDistribution:
 
     ``probs[m, n]`` is the read-only probability of m photons in the first
     output mode and n in the second; it is 0 where m + n exceeds the
-    truncation bound, so ``len(probs)`` is the bound plus one.
-    ``truncation_mass`` is the probability captured by the enumerated inputs,
-    at least 1 - tail_mass of the policy that cut them.
+    truncation bound, so ``len(probs)`` is the bound plus one. Its entries
+    sum to at least 1 - tail_mass of the policy that cut them.
     """
 
     probs: np.ndarray
@@ -123,10 +122,6 @@ class JointPhotonDistribution:
         if not inside.all():
             m, n = np.argwhere(~inside)[0]
             raise ValueError(f"probability out of range at ({m}, {n}): {self.probs[m, n]}")
-
-    @property
-    def truncation_mass(self) -> float:
-        return math.fsum(self.probs.ravel())
 
 
 def truncation_bound(mu: float, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> int:
@@ -267,8 +262,6 @@ def output_joint_distribution(
     source: SourceModel,
     mu_eff: float,
     policy: TruncationPolicy = DEFAULT_TRUNCATION,
-    *,
-    min_total: int = 0,
 ) -> JointPhotonDistribution:
     """Joint output photon-number distribution for a source at mean ``mu_eff``.
 
@@ -279,11 +272,8 @@ def output_joint_distribution(
     so the single and distinguishable sources leave two independent
     Poisson(mu_eff/2) output modes: the arm weights themselves. A mixture
     combines the two convexly.
-
-    ``min_total`` forces enumeration at least up to that total photon number,
-    regardless of the policy bound.
     """
-    bound = max(truncation_bound(mu_eff, policy), min_total)
+    bound = truncation_bound(mu_eff, policy)
     kind = source.kind
     if kind in (SourceKind.SINGLE, SourceKind.DISTINGUISHABLE):
         probs = _arm_weights(mu_eff, bound)
@@ -296,17 +286,17 @@ def output_joint_distribution(
     return JointPhotonDistribution(probs)
 
 
-# One sweep point asks for the same (mu, bound) from up to four sources, at
-# two bounds: the contrast's tight one and the default. Two entries hold both
-# and keep nothing from the points before.
-@lru_cache(maxsize=2)
+# One sweep point asks for the same (mu, bound) from up to four sources in a
+# row, at the one default bound. One entry serves them all and keeps nothing
+# from the points before.
+@lru_cache(maxsize=1)
 def _arm_weights(mu: float, bound: int) -> np.ndarray:
     """Joint probability of (m, n) photons in the two input arms, m + n <= bound.
 
     The product of two independent Poisson(mu/2) laws,
     exp(-mu) mu^(m+n) / (m! n! 2^(m+n)), taken in log space; ``math.exp``
     per element keeps each value equal to its scalar evaluation. Memoized per
-    (mu, bound), last two kept, and read-only, since callers share the array.
+    (mu, bound), last one kept, and read-only, since callers share the array.
     """
     lf = _log_factorials(bound)
     k = np.arange(bound + 1)
@@ -319,11 +309,11 @@ def _arm_weights(mu: float, bound: int) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _interfering_table(mu: float, bound: int) -> np.ndarray:
     """The interfering pair's output table: ``_arm_weights`` through the splitter.
 
-    Memoized like ``_arm_weights`` (per (mu, bound), last two kept, read-only),
+    Memoized like ``_arm_weights`` (per (mu, bound), last one kept, read-only),
     so the indistinguishable pair and a mixture at one point share one build.
     """
     table = _transformed(_arm_weights(mu, bound))

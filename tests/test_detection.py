@@ -125,7 +125,7 @@ class TestOutcomeProbabilities:
         p_none_oracle = sum(
             p * (1.0 - 0.8) ** m * (1.0 - 0.55) ** n
             for (m, n), p in np.ndenumerate(dist.probs)
-        ) + (1.0 - dist.truncation_mass)
+        ) + (1.0 - math.fsum(dist.probs.ravel()))
         assert probs.p_none == pytest.approx(p_none_oracle, abs=1e-10)
         for value in (probs.p_gen, probs.p_disc, probs.p_none):
             assert 0.0 <= value <= 1.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import i0e
 
 from bsqrng import fock
 from bsqrng.cli import SweepSpec, sweep
@@ -25,6 +26,7 @@ from bsqrng.fock import (
 from bsqrng.special import poisson_cdf
 
 TIGHT = TruncationPolicy(tail_mass=1e-9)
+FINEST = TruncationPolicy(tail_mass=1e-15)
 
 counts = st.integers(min_value=0, max_value=8)
 means = st.floats(min_value=0.05, max_value=8.0)
@@ -45,9 +47,9 @@ def scan_from_zero(mu, tail):
     return k
 
 
-def poisson_pair_table(mu, min_total=0):
+def poisson_pair_table(mu, policy=fock.DEFAULT_TRUNCATION):
     """The single source's output table: the Poisson pair pmf of the input arms."""
-    return output_joint_distribution(SourceModel.single(), mu, min_total=min_total).probs
+    return output_joint_distribution(SourceModel.single(), mu, policy).probs
 
 
 class TestPoissonPairPmf:
@@ -63,9 +65,13 @@ class TestPoissonPairPmf:
 
     @given(means, counts, counts)
     def test_matches_product_of_independent_arms(self, mu, m, n):
+        # The finest tail keeps (m, n), or the pair weighs less than that tail.
         oracle = poisson_pmf(mu / 2, m) * poisson_pmf(mu / 2, n)
-        table = poisson_pair_table(mu, min_total=m + n)
-        assert table[m, n] == pytest.approx(oracle, rel=1e-10)
+        table = poisson_pair_table(mu, FINEST)
+        if m + n < len(table):
+            assert table[m, n] == pytest.approx(oracle, rel=1e-10)
+        else:
+            assert oracle <= FINEST.tail_mass
 
     def test_truncated_mass_meets_rule(self):
         for mu in (0.1, 1.0, 2.1, 5.0, 20.0):
@@ -317,8 +323,8 @@ class TestJointDistribution:
     )
     def test_symmetry_and_mass(self, source):
         dist = output_joint_distribution(source, 1.9)
-        assert dist.truncation_mass >= 0.999
-        assert dist.truncation_mass <= 1.0 + 1e-12
+        mass = math.fsum(dist.probs.ravel())
+        assert 0.999 <= mass <= 1.0 + 1e-12
         assert np.all((dist.probs >= 0.0) & (dist.probs <= 1.0))
         assert np.max(np.abs(dist.probs - dist.probs.T)) <= 1e-12
 
@@ -353,7 +359,7 @@ class TestJointDistribution:
             policy = TruncationPolicy(tail)
             for mu in np.geomspace(1e-6, mu_max, points):
                 dist = output_joint_distribution(source, float(mu), policy)
-                assert dist.truncation_mass >= 1.0 - tail, (tail, mu)
+                assert math.fsum(dist.probs.ravel()) >= 1.0 - tail, (tail, mu)
 
     def test_overlap_validation(self):
         with pytest.raises(ValueError):
@@ -381,9 +387,9 @@ def transformed_by_fancy_index(weights):
     return out
 
 
-def reference_table(source, mu, policy, min_total):
+def reference_table(source, mu, policy):
     """``output_joint_distribution``'s table built from the two forms above."""
-    bound = max(scan_from_zero(mu, policy.tail_mass), min_total)
+    bound = scan_from_zero(mu, policy.tail_mass)
     weights = arm_weights_by_list(mu, bound)
     if source.label in ("single", "dist"):
         return weights
@@ -399,8 +405,8 @@ def clear_table_caches():
 
 
 ALL_SOURCES = ("single", "indist", "dist", "mix:0.5")
-# (policy, min_total) as the contrast and the sweep rows ask for them.
-REQUESTS = ((TruncationPolicy(1e-12), 2), (fock.DEFAULT_TRUNCATION, 0))
+# The finest tail, which still cuts at total 2 at mu 1e-6, and the sweep's.
+POLICIES = (FINEST, fock.DEFAULT_TRUNCATION)
 
 
 class TestTableBuilds:
@@ -417,22 +423,20 @@ class TestTableBuilds:
     @pytest.mark.parametrize("mu", [1e-6, 0.05, 0.7, 2.1, 9.3, 40.0])
     def test_cold_and_warm_tables_are_equal_and_read_only(self, label, mu):
         source = SourceModel.from_label(label)
-        for policy, min_total in REQUESTS:
-            expected = reference_table(source, mu, policy, min_total)
+        for policy in POLICIES:
+            expected = reference_table(source, mu, policy)
             clear_table_caches()
-            cold = output_joint_distribution(source, mu, policy, min_total=min_total).probs
+            cold = output_joint_distribution(source, mu, policy).probs
             clear_table_caches()
             for other in ALL_SOURCES:
-                for other_policy, other_min in REQUESTS:
-                    output_joint_distribution(
-                        SourceModel.from_label(other), mu, other_policy, min_total=other_min
-                    )
-            warm = output_joint_distribution(source, mu, policy, min_total=min_total).probs
+                for other_policy in POLICIES:
+                    output_joint_distribution(SourceModel.from_label(other), mu, other_policy)
+            warm = output_joint_distribution(source, mu, policy).probs
             for probs in (cold, warm):
                 assert np.array_equal(probs, expected)
                 assert not probs.flags.writeable
 
-    def test_sweep_builds_each_table_at_most_twice_per_point(self, monkeypatch):
+    def test_sweep_builds_each_table_once_per_point(self, monkeypatch):
         # Each arm-weight build reads the log factorials once; each
         # interfering table runs the splitter transform once.
         builds = {"weights": 0, "transform": 0}
@@ -451,8 +455,7 @@ class TestTableBuilds:
         sources = tuple(map(SourceModel.from_label, ALL_SOURCES))
         spec = SweepSpec(0.05, 20.0, points, sources=sources)
         assert len(sweep(spec)) == 4 * points
-        assert points <= builds["weights"] <= 2 * points
-        assert points <= builds["transform"] <= 2 * points
+        assert builds == {"weights": points, "transform": points}
 
 
 class TestSourceLabels:
@@ -476,5 +479,26 @@ class TestCoincidenceContrast:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_underflow_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="baseline coincidence probability underflows"):
             coincidence_contrast(1e-200)
+
+    @pytest.mark.parametrize(
+        "mu, message",
+        [(0.0, "positive"), (-1.0, "positive"), (math.nan, "finite"), (math.inf, "finite")],
+    )
+    def test_rejects_mean_outside_the_domain(self, mu, message):
+        with pytest.raises(ValueError, match=f"mean photon number must be {message}"):
+            coincidence_contrast(mu)
+
+    def test_matches_bessel_and_series_oracles(self):
+        # The contrast is 2 e^-a (I0(a) - 1) / expm1(-a)^2 with a = mu / 2:
+        # from scipy's scaled Bessel function i0e down to mu 0.02, where its
+        # difference still keeps 1e-11; below, from the series of the even
+        # ratio (I0(a) - 1) / (cosh(a) - 1) to order a^4.
+        for mu in [*np.geomspace(1e-12, 1e9, 200).tolist(), 1e-3, 0.0612597792895506]:
+            a = mu / 2
+            if mu >= 0.02:
+                expected = 2.0 * (i0e(a) - math.exp(-a)) / math.expm1(-a) ** 2
+            else:
+                expected = 0.5 - a**2 / 96 + a**4 / 2880
+            assert coincidence_contrast(mu) == pytest.approx(expected, rel=1e-10, abs=0.0), mu

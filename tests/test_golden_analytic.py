@@ -18,7 +18,7 @@ GOLDEN_SWEEPS = {
     # The default 60-point log grid from 0.05 to 20.
     "log-default": (
         ("sweep", "--source", FOUR_SOURCES),
-        "c31c346829b3a23308a5ce8d03383e1ecb13f75cc411303cddbb1e151ff09835",
+        "9ed942530d531981ec34ddde94b3d0a3d460510b9227d2503e584c587241c89c",
     ),
     "linear": (
         ("sweep", "--spacing", "linear", "--mu-eta-min", "0.1", "--mu-eta-max", "6",
