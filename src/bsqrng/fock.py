@@ -127,51 +127,28 @@ class JointPhotonDistribution:
 def truncation_bound(mu: float, policy: TruncationPolicy = DEFAULT_TRUNCATION) -> int:
     """Smallest k with Poisson(mu) CDF at k >= 1 - tail_mass.
 
-    The scan starts at ``_scan_start``: the last k from floor(mu) - 1 up whose
-    pmf is at least 16 tail_mass, or floor(mu) - 1 (at least 0) when none is.
-    No j below that start can pass, so the answer is the one a scan from 0
-    finds: P(X <= j) <= 1 - pmf(start) <= 1 - 16 tail_mass, and ``poisson_cdf``
-    is off by a few ulps only; below floor(mu) - 1 the CDF is at most 1/2, as
-    the Poisson median is at least mu - ln 2.
+    The scan starts where the pmf falls below 16 tail_mass after the mode: a
+    walk from floor(mu) - 1 (at least 0) steps up while pmf(k + 1), from its
+    lgamma log, is at least 16 tail_mass. No j below that start can pass, so
+    the answer is the one a scan from 0 finds. If the walk stepped, pmf(start)
+    passed, so P(X <= j) <= 1 - pmf(start) <= 1 - 16 tail_mass, and
+    ``poisson_cdf`` is off by a few ulps only. If it did not, the start is
+    floor(mu) - 1, and below it the CDF is at most 1/2, as the Poisson median
+    is at least mu - ln 2.
     """
     if mu <= 0.0:
         raise ValueError(f"mean photon number must be positive, got {mu}")
     if not math.isfinite(mu):
         raise ValueError(f"mean photon number must be finite, got {mu}")
+    level = math.log(16.0 * policy.tail_mass)
+    log_mu = math.log(mu)
+    k = max(0, math.floor(mu) - 1)
+    while -mu + (k + 1) * log_mu - math.lgamma(k + 2) >= level:
+        k += 1
     target = 1.0 - policy.tail_mass
-    k = _scan_start(mu, policy.tail_mass)
     while poisson_cdf(k, mu) < target:
         k += 1
     return k
-
-
-def _scan_start(mu: float, tail_mass: float) -> int:
-    """Largest k >= floor(mu) - 1 with Poisson(mu) pmf(k) >= 16 tail_mass.
-
-    The pmf rises up to its mode floor(mu) and falls after it, so the k that
-    pass form one run through the mode: a doubling step brackets its upper
-    end and a bisection finds it. Without a passing k, floor(mu) - 1 (or 0).
-    """
-    mode = math.floor(mu)
-    level = math.log(16.0 * tail_mass)
-    log_mu = math.log(mu)
-
-    def passes(k: int) -> bool:
-        return -mu + k * log_mu - math.lgamma(k + 1) >= level
-
-    if not passes(mode):
-        return max(0, mode - 1)
-    lo, step = mode, 1
-    while passes(lo + step):
-        lo, step = lo + step, 2 * step
-    hi = lo + step  # passes(lo) holds and passes(hi) does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 @lru_cache(maxsize=None)

@@ -279,11 +279,9 @@ class _SamplerTables:
 
 
 def _simulate_range(
-    cfg: SimConfig, start: int, stop: int, tables: _SamplerTables | None = None
+    cfg: SimConfig, start: int, stop: int, tables: _SamplerTables
 ) -> np.ndarray:
     """Outcome codes for gates [start, stop); pure in (cfg, start, stop)."""
-    if tables is None:
-        tables = _SamplerTables(cfg)
     words = gate_uniforms(cfg.seed, start, stop)
 
     def draws(slot: int) -> np.ndarray:
@@ -336,6 +334,6 @@ def run(
     for lo in range(0, cfg.n_gates, chunk_gates):
         hi = min(lo + chunk_gates, cfg.n_gates)
         chunk = _simulate_range(cfg, lo, hi, tables)
-        counts += [np.count_nonzero(chunk == code) for code in Outcome]
+        counts += np.bincount(chunk, minlength=len(Outcome))
         outcomes[lo:hi] = chunk
     return EventTally.from_counts(counts), outcomes

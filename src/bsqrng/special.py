@@ -2,8 +2,14 @@
 
 Self-contained double-precision implementations: the complementary error
 function, the regularized upper incomplete gamma function, the normal CDF
-and the Poisson CDF. Accuracy is a few ulps over the ranges exercised here; the test
-suite pins 1e-10 relative agreement against an independent reference.
+and the Poisson CDF. The incomplete gamma kernels stop once a step changes
+the sum by less than 1e-17 of it, which takes about 8 to 10 sqrt(a) steps
+at shape a; they raise ``ArithmeticError`` rather than return a partial sum
+if 500 + 16 ceil(sqrt(a)) steps do not get there. The test suite pins 1e-10
+relative agreement against an independent reference for shapes up to
+39 062 and Poisson means up to 1e4. Above that the rounding of the
+prefactor's exponent, a sum of terms near a ln a, sets the error: 5e-9 is
+pinned at shape 390 625 and 1e-9 at mean 1e5.
 
 All take scalars. ``normal_cdf`` also takes a float array and then returns
 the scalar function's value for every element, bit for bit: the array form
@@ -89,10 +95,10 @@ def gammainc_upper(a: float, x: float) -> float:
 
 
 def _check_gamma_args(a: float, x: float) -> None:
-    if a <= 0.0:
-        raise ValueError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be non-negative, got {x}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"shape parameter must be positive and finite, got {a}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"argument must be non-negative and finite, got {x}")
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -100,12 +106,14 @@ def _gamma_series(a: float, x: float) -> float:
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(_MAX_ITER):
+    for _ in range(_MAX_ITER + 16 * math.ceil(math.sqrt(a))):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
             break
+    else:
+        raise ArithmeticError(f"incomplete gamma series did not converge at a={a}, x={x}")
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -115,7 +123,7 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for k in range(1, _MAX_ITER):
+    for k in range(1, _MAX_ITER + 16 * math.ceil(math.sqrt(a))):
         an = -k * (k - a)
         b += 2.0
         d = an * d + b
@@ -129,6 +137,8 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
+    else:
+        raise ArithmeticError(f"incomplete gamma fraction did not converge at a={a}, x={x}")
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 

@@ -154,6 +154,17 @@ class TestTruncationBound:
             truncation_bound(float(mu), policy)
             assert len(calls) <= 48, (mu, len(calls))
 
+    @pytest.mark.parametrize("tail", [1e-3, 1e-15])
+    def test_walk_matches_scan_from_below_the_mode_beyond_the_dense_grid(self, tail):
+        # Above the dense grid a scan from 0 is slow, but a scan from
+        # floor(mu) - 1 still finds the answer: the CDF there is at most 1/2.
+        policy = TruncationPolicy(tail)
+        for mu in map(float, np.geomspace(300.0, 5000.0, 20)):
+            k = max(0, math.floor(mu) - 1)
+            while poisson_cdf(k, mu) < 1.0 - tail:
+                k += 1
+            assert truncation_bound(mu, policy) == k, mu
+
 
 def splitter_oracle(m, n):
     """Exact |amplitude|^2 and unit phase of each output ket (M, m + n - M).
@@ -502,3 +513,9 @@ class TestCoincidenceContrast:
             else:
                 expected = 0.5 - a**2 / 96 + a**4 / 2880
             assert coincidence_contrast(mu) == pytest.approx(expected, rel=1e-10, abs=0.0), mu
+
+    def test_stays_within_its_bound(self):
+        # At small means the exact value rounds to 1/2, and the mean of the
+        # midpoint terms can round one ulp above it.
+        for mu in np.geomspace(1e-12, 1e9, 400).tolist():
+            assert 0.0 < coincidence_contrast(mu) <= 0.5, mu

@@ -77,9 +77,10 @@ class TestDeterminism:
     def test_worker_partition_matches_serial(self, n, data):
         k = data.draw(st.integers(1, n - 1))
         cfg = make_cfg(n_gates=n)
-        serial = _simulate_range(cfg, 0, n)
+        tables = _SamplerTables(cfg)
+        serial = _simulate_range(cfg, 0, n, tables)
         merged = np.concatenate(
-            [_simulate_range(cfg, 0, k), _simulate_range(cfg, k, n)]
+            [_simulate_range(cfg, 0, k, tables), _simulate_range(cfg, k, n, tables)]
         )
         assert np.array_equal(serial, merged)
 

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -178,6 +179,14 @@ class TestProperties:
         biased = np.ones(400, dtype=np.uint8)
         biased[:40] = 0
         assert runs(biased) == 0.0
+
+    def test_block_frequency_on_a_long_block_matches_scipy(self):
+        # 78 125 sub-blocks: the incomplete gamma at shape 39 062.5.
+        bits = ideal_bits(10**7, 7)
+        ones = bits.reshape(-1, 128).sum(axis=1, dtype=np.int64)
+        chi_sq = 4.0 * 128 * float((((ones / 128) - 0.5) ** 2).sum())
+        expected = float(scipy.special.gammaincc(len(ones) / 2, chi_sq / 2))
+        assert block_frequency(bits) == pytest.approx(expected, rel=1e-10)
 
     def test_accepts_bitstream_input(self):
         stream = BitStream.from_bits(ideal_bits(512, 3))

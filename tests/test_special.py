@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bsqrng import special
 from bsqrng.special import _erfc_array, erfc, gammainc_upper, normal_cdf, poisson_cdf
 
 # 20 points spanning the series branch, the continued-fraction branch and the
@@ -62,11 +63,44 @@ def test_gamma_complement(a, x):
     )
 
 
+# Shapes of block_frequency at 1e6, 1e7 and 1e8-bit blocks (128-bit
+# sub-blocks), where the kernels need about 530 to 6 200 steps near x = a.
+# The prefactor exp(-x + a ln x - lgamma(a)) sums terms near a ln a, about
+# 5e6 at the largest shape, whose rounding alone costs some 1e-9 there.
+@pytest.mark.parametrize("a, rel", [(3906.0, 1e-10), (39062.0, 1e-10), (390625.0, 5e-9)])
+def test_incomplete_gamma_converges_at_large_shapes(a, rel):
+    for z in range(-3, 4):
+        x = a + z * math.sqrt(a)
+        assert gammainc_upper(a, x) == pytest.approx(
+            float(scipy.special.gammaincc(a, x)), rel=rel
+        ), z
+
+
+@pytest.mark.parametrize("mu, rel", [(1e4, 1e-10), (1e5, 1e-9)])
+def test_poisson_cdf_against_scipy_at_large_means(mu, rel):
+    for z in range(-3, 4):
+        k = math.floor(mu + z * math.sqrt(mu))
+        assert poisson_cdf(k, mu) == pytest.approx(
+            float(scipy.stats.poisson.cdf(k, mu)), rel=rel
+        ), z
+
+
+def test_unconverged_kernel_raises(monkeypatch):
+    # With no stopping test met, both kernels run to their step cap.
+    monkeypatch.setattr(special, "_EPS", 0.0)
+    for x in (0.5, 20.0):  # the series, then the continued fraction
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            gammainc_upper(4.0, x)
+
+
 def test_gamma_domain_errors():
     with pytest.raises(ValueError):
         gammainc_upper(0.0, 1.0)
     with pytest.raises(ValueError):
         gammainc_upper(1.0, -0.5)
+    for a, x in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            gammainc_upper(a, x)
 
 
 def _neighbours(x):
