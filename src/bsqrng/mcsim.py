@@ -17,6 +17,8 @@ it is an exact integer comparison: u < p exactly when x < ceil(p * 2**53)
 lookup returns the number of entries c of its row with ceil(c * 2**53) <= x.
 A splitter row of input total t holds 1.0 from entry t on, so its lookup
 stops at the row's own total wherever the row's cumsum ends.
+``run`` samples chunk k on one helper thread while the calling thread draws
+chunk k + 1's words; no output byte depends on this.
 This internal generator is simulation plumbing only; the randomness being
 modeled is the physics.
 """
@@ -24,6 +26,7 @@ modeled is the physics.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -278,11 +281,8 @@ class _SamplerTables:
         self.routed = int(_thresholds(cfg.source.overlap))
 
 
-def _simulate_range(
-    cfg: SimConfig, start: int, stop: int, tables: _SamplerTables
-) -> np.ndarray:
-    """Outcome codes for gates [start, stop); pure in (cfg, start, stop)."""
-    words = gate_uniforms(cfg.seed, start, stop)
+def _classify(cfg: SimConfig, words: np.ndarray, tables: _SamplerTables) -> np.ndarray:
+    """Outcome codes of the gates whose raw words are the rows of ``words``."""
 
     def draws(slot: int) -> np.ndarray:
         return (words[:, slot] >> (64 - _DRAW_BITS)).view(np.int64)
@@ -306,11 +306,20 @@ def _simulate_range(
     return click0.view(np.uint8) | (click1.view(np.uint8) << 1)
 
 
-# A chunk's words take 1 MB at 2**14 gates, so its temporaries stay near
-# cache size and below numpy's 4 MB huge-page threshold. On a 2-CPU x86 box,
-# `run` of 2**21 gates was fastest at 2**13 to 2**14 gates per chunk and 3 to
-# 5 % slower at 2**16 (medians of 12 runs at mu 2.1 indist and mu 8 mix:0.5).
-DEFAULT_CHUNK_GATES = 1 << 14
+def _simulate_range(
+    cfg: SimConfig, start: int, stop: int, tables: _SamplerTables
+) -> np.ndarray:
+    """Outcome codes for gates [start, stop); pure in (cfg, start, stop)."""
+    return _classify(cfg, gate_uniforms(cfg.seed, start, stop), tables)
+
+
+# A chunk's words take 0.5 MB at 2**13 gates. While the helper thread samples
+# one chunk the caller draws the next, so two chunks' words and one chunk's
+# temporaries are live at once. On a 2-CPU x86 box, the generate workloads of
+# perfbench (2**21 gates) were fastest at 2**13 to 2**14 gates per chunk and
+# 20 to 30 % slower at 2**12; 2**14 raised optimum-pipeline's peak RSS by
+# 2.6 MB over 2**13 (one huge-page step), 2**13 by 0.4 MB over the serial loop.
+DEFAULT_CHUNK_GATES = 1 << 13
 # The outcome array takes one byte per gate: 256 MB at the limit.
 MAX_GATES = 1 << 28
 
@@ -322,18 +331,59 @@ def run(
 
     Returns the tally and the per-gate outcome array (one code per gate,
     indexed by gate). Runs longer than ``MAX_GATES`` are refused with an
-    ``OverflowError`` before anything is allocated.
+    ``OverflowError``, and a ``chunk_gates`` below 1 with a ``ValueError``,
+    before anything is allocated.
+
+    The gates are taken in chunks of ``chunk_gates``. The calling thread
+    draws chunk k + 1's words with ``gate_uniforms`` while one helper thread
+    samples chunk k; Philox and numpy's sampling loops release the GIL, so
+    the two overlap. A chunk's codes depend only on its words, so no output
+    byte depends on the overlap. The helper is joined before ``run``
+    returns or raises.
     """
+    if chunk_gates < 1:
+        raise ValueError(f"chunk_gates must be at least 1, got {chunk_gates}")
     if cfg.n_gates > MAX_GATES:
         raise OverflowError(
             f"{cfg.n_gates} gates exceed the limit of {MAX_GATES} gates per run"
         )
+    # Imported here so that `import bsqrng.cli` does not pay for it.
+    from queue import SimpleQueue
+
     tables = _SamplerTables(cfg)
-    counts = np.zeros(len(Outcome), dtype=np.int64)
     outcomes = np.empty(cfg.n_gates, dtype=np.uint8)
-    for lo in range(0, cfg.n_gates, chunk_gates):
-        hi = min(lo + chunk_gates, cfg.n_gates)
-        chunk = _simulate_range(cfg, lo, hi, tables)
-        counts += np.bincount(chunk, minlength=len(Outcome))
-        outcomes[lo:hi] = chunk
+    todo: SimpleQueue = SimpleQueue()
+    done: SimpleQueue = SimpleQueue()
+
+    def sample_chunks() -> None:
+        # Calls nothing that perfbench traces: its span stack is not
+        # thread-safe, so gate_uniforms stays on the calling thread.
+        while (chunk := todo.get()) is not None:
+            lo, words = chunk
+            try:
+                codes = _classify(cfg, words, tables)
+                outcomes[lo : lo + len(codes)] = codes
+                done.put(np.bincount(codes, minlength=len(Outcome)))
+            except BaseException as exc:  # raised again on the calling thread
+                done.put(exc)
+
+    def collect() -> np.ndarray:
+        result = done.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    counts = np.zeros(len(Outcome), dtype=np.int64)
+    helper = threading.Thread(target=sample_chunks, name="mcsim-sampler")
+    helper.start()
+    try:
+        for lo in range(0, cfg.n_gates, chunk_gates):
+            words = gate_uniforms(cfg.seed, lo, min(lo + chunk_gates, cfg.n_gates))
+            if lo:
+                counts += collect()
+            todo.put((lo, words))
+        counts += collect()
+    finally:
+        todo.put(None)
+        helper.join()
     return EventTally.from_counts(counts), outcomes

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bsqrng
 from bsqrng.cli import SweepSpec, find_optimum, main, sweep
 from bsqrng.fock import SourceModel
 from bsqrng.postproc import BitStream
@@ -484,3 +489,15 @@ class TestLibrarySweep:
         value = out.splitlines()[1].split(",")[2]
         mantissa = value.replace(".", "").lstrip("0")
         assert len(mantissa) == 9
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_help(self):
+        src = str(Path(bsqrng.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "bsqrng", "--help"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage:")

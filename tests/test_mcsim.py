@@ -1,6 +1,7 @@
 """Simulator determinism, stream partitioning and agreement with the analytics."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -83,6 +84,63 @@ class TestDeterminism:
             [_simulate_range(cfg, 0, k, tables), _simulate_range(cfg, k, n, tables)]
         )
         assert np.array_equal(serial, merged)
+
+    @pytest.mark.parametrize("label", ["single", "indist", "dist", "mix:0.5"])
+    @pytest.mark.parametrize(
+        "chunk_gates, n_gates", [(1, 1001), (777, 9193), (1 << 13, 9193), (10_000, 9193)]
+    )
+    def test_pipelined_run_matches_serial(self, label, chunk_gates, n_gates):
+        cfg = make_cfg(n_gates=n_gates, source=SourceModel.from_label(label))
+        tally, outcomes = run(cfg, chunk_gates=chunk_gates)
+        serial = _simulate_range(cfg, 0, n_gates, _SamplerTables(cfg))
+        assert outcomes.tobytes() == serial.tobytes()
+        assert tally == EventTally.from_counts(np.bincount(serial, minlength=len(Outcome)))
+
+
+class TestHelperThread:
+    def test_gate_uniforms_runs_on_the_caller_one_call_at_a_time(self, monkeypatch):
+        import bsqrng.mcsim as mcsim
+
+        inner = mcsim.gate_uniforms
+        active, calls = [], []
+
+        def traced(*args):
+            # As perfbench's tracer does: a span stack shared by every thread.
+            active.append(None)
+            calls.append((threading.get_ident(), len(active)))
+            try:
+                return inner(*args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(mcsim, "gate_uniforms", traced)
+        run(make_cfg(n_gates=5000), chunk_gates=777)
+        assert calls == [(threading.get_ident(), 1)] * 7
+
+    def test_sampler_error_is_raised_and_the_helper_joined(self, monkeypatch):
+        import bsqrng.mcsim as mcsim
+
+        before = threading.enumerate()
+        run(make_cfg(n_gates=5000), chunk_gates=777)
+        assert threading.enumerate() == before
+
+        class SamplerFault(Exception):
+            pass
+
+        inner = mcsim._classify
+        calls = []
+
+        def classify(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SamplerFault
+            return inner(*args)
+
+        monkeypatch.setattr(mcsim, "_classify", classify)
+        with pytest.raises(SamplerFault):
+            run(make_cfg(n_gates=5000), chunk_gates=777)
+        assert threading.enumerate() == before
+        assert len(calls) == 3
 
 
 class TestTally:
@@ -310,6 +368,17 @@ class TestRunInterface:
         # The outcome array alone would take 256 MB.
         assert peak < 1 << 20
         assert "sink" not in str(info.value)
+
+    @pytest.mark.parametrize("chunk_gates", [-4, 0])
+    def test_non_positive_chunk_gates_refused_before_any_table(self, monkeypatch, chunk_gates):
+        import bsqrng.mcsim as mcsim
+
+        def no_tables(cfg):
+            raise AssertionError("tables built before chunk_gates was checked")
+
+        monkeypatch.setattr(mcsim, "_SamplerTables", no_tables)
+        with pytest.raises(ValueError, match=f"chunk_gates must be at least 1, got {chunk_gates}"):
+            run(make_cfg(), chunk_gates=chunk_gates)
 
     @pytest.mark.parametrize("mu", [1000.0, 1e12])
     def test_photon_total_cap_checked_before_any_table(self, monkeypatch, mu):
