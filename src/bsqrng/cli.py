@@ -299,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p_opt = sub.add_parser("optimum", help="search the valid-bit probability maximum")
-    p_opt.add_argument("--source", default=None)
+    p_opt.add_argument("--source", default=None,
+                       help="one of single,indist,dist,mix:<overlap>")
     p_opt.add_argument("--bracket", nargs=2, type=float, metavar=("LO", "HI"), default=None)
 
     p_gen = sub.add_parser("generate", help="simulate gates and write a bit file")
@@ -308,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="effective mean; shorthand for --mu with ideal detectors")
     p_gen.add_argument("--eta0", type=float, default=None)
     p_gen.add_argument("--eta1", type=float, default=None)
-    p_gen.add_argument("--source", default=None)
+    p_gen.add_argument("--source", default=None,
+                       help="one of single,indist,dist,mix:<overlap>")
     p_gen.add_argument("--gates", type=int, default=None)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--gate-rate", dest="gate_rate", type=float, default=None)

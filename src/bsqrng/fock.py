@@ -6,16 +6,16 @@ The interfering splitter's transform is built once per input photon total t:
 row m of a (t+1) x (t+1) array is the output law of the input (m, t - m),
 taken from exact integer Krawtchouk coefficients, so it stays unitary at any
 total. Without interference every input of total t has one binomial law.
-Supported source configurations: a single weak coherent state plus vacuum,
-two indistinguishable weak coherent states (interfering), two mutually
-distinguishable ones (no interference), and a convex mixture of the last two.
+A source is its interference weight w in [0, 1], the interfering law's share
+of its output law: two indistinguishable weak coherent states have w = 1, two
+mutually distinguishable ones or a single one plus vacuum (one law) w = 0,
+and a partial mixture any w between.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -29,24 +29,19 @@ _LN2 = math.log(2.0)
 MAX_INPUT_TOTAL = 200
 
 
-class SourceKind(Enum):
-    SINGLE = "single"
-    INDISTINGUISHABLE = "indist"
-    DISTINGUISHABLE = "dist"
-    MIXTURE = "mix"
-
-
 @dataclass(frozen=True)
 class SourceModel:
-    """Which input illuminates the splitter.
+    """Which input illuminates the splitter: its interference weight and label.
 
-    ``overlap`` is the mixing weight of the interfering component and is only
-    meaningful for ``SourceKind.MIXTURE``: overlap 1 reproduces the
-    indistinguishable pair, overlap 0 the distinguishable pair.
+    ``overlap`` is the weight w in [0, 1] of the interfering component, for
+    every source: ``indist`` is w = 1, ``dist`` and ``single`` are w = 0, and
+    ``mix:<w>`` is w itself. ``label`` is the printed form, which
+    ``from_label`` parses back; the one computation that reads it is the
+    simulator's one-arm draw for ``single``.
     """
 
-    kind: SourceKind
-    overlap: float = 1.0
+    overlap: float
+    label: str
 
     def __post_init__(self):
         if not 0.0 <= self.overlap <= 1.0:
@@ -54,37 +49,38 @@ class SourceModel:
 
     @classmethod
     def single(cls) -> "SourceModel":
-        return cls(SourceKind.SINGLE)
+        return cls(0.0, "single")
 
     @classmethod
     def indistinguishable_pair(cls) -> "SourceModel":
-        return cls(SourceKind.INDISTINGUISHABLE)
+        return cls(1.0, "indist")
 
     @classmethod
     def distinguishable_pair(cls) -> "SourceModel":
-        return cls(SourceKind.DISTINGUISHABLE)
+        return cls(0.0, "dist")
 
     @classmethod
     def partial_mixture(cls, overlap: float) -> "SourceModel":
-        return cls(SourceKind.MIXTURE, overlap)
+        # The short form where it parses back to w exactly, else every digit.
+        text = f"{overlap:g}" if float(f"{overlap:g}") == overlap else repr(float(overlap))
+        return cls(overlap, f"mix:{text}")
 
     @classmethod
     def from_label(cls, label: str) -> "SourceModel":
         """Parse ``single``, ``indist``, ``dist`` or ``mix:<overlap>``."""
+        for named in (cls.single(), cls.indistinguishable_pair(), cls.distinguishable_pair()):
+            if label == named.label:
+                return named
         if label.startswith("mix:"):
-            return cls.partial_mixture(float(label[4:]))
-        try:
-            return cls(SourceKind(label))
-        except ValueError:
-            raise ValueError(
-                f"unknown source {label!r}; expected single, indist, dist or mix:<overlap>"
-            ) from None
-
-    @property
-    def label(self) -> str:
-        if self.kind is SourceKind.MIXTURE:
-            return f"mix:{self.overlap:g}"
-        return self.kind.value
+            try:
+                overlap = float(label[4:])
+            except ValueError:
+                pass
+            else:
+                return cls.partial_mixture(overlap)
+        raise ValueError(
+            f"unknown source {label!r}; expected single, indist, dist or mix:<overlap>"
+        )
 
 
 @dataclass(frozen=True)
@@ -242,23 +238,20 @@ def output_joint_distribution(
 ) -> JointPhotonDistribution:
     """Joint output photon-number distribution for a source at mean ``mu_eff``.
 
-    The interfering pair sums the squared splitter amplitudes over all Fock
-    inputs, weighted by their Poisson probabilities; photon-number
+    The interfering pair (w = 1) sums the squared splitter amplitudes over
+    all Fock inputs, weighted by their Poisson probabilities; photon-number
     conservation restricts each output total to its input total. Without
-    interference every photon total routes binomially (``_binomial_row``),
-    so the single and distinguishable sources leave two independent
-    Poisson(mu_eff/2) output modes: the arm weights themselves. A mixture
-    combines the two convexly.
+    interference (w = 0) every photon total routes binomially
+    (``_binomial_row``), which leaves two independent Poisson(mu_eff/2) output
+    modes: the arm weights themselves. Any other w combines the two convexly.
     """
     bound = truncation_bound(mu_eff, policy)
-    kind = source.kind
-    if kind in (SourceKind.SINGLE, SourceKind.DISTINGUISHABLE):
-        probs = _arm_weights(mu_eff, bound)
-    elif kind is SourceKind.INDISTINGUISHABLE:
-        probs = _interfering_table(mu_eff, bound)
-    else:
-        w = source.overlap
-        probs = w * _interfering_table(mu_eff, bound) + (1.0 - w) * _arm_weights(mu_eff, bound)
+    w = source.overlap
+    if w == 0.0:
+        return JointPhotonDistribution(_arm_weights(mu_eff, bound))
+    probs = _interfering_table(mu_eff, bound)
+    if w < 1.0:
+        probs = w * probs + (1.0 - w) * _arm_weights(mu_eff, bound)
         probs.setflags(write=False)
     return JointPhotonDistribution(probs)
 

@@ -9,12 +9,13 @@ keyed by the seed. Gate g owns the eight 64-bit words of the output blocks at
 counter values 2g + 1 and 2g + 2, so its draws are a pure function of (seed,
 g): a run can be simulated in chunks of gates and still reproduce the serial
 outcome sequence bit for bit. Words 0 to 5 are read as the first arm's photon
-number, the second arm's, the mixture branch, the splitter outcome and the
-bit-0 and bit-1 clicks; words 6 and 7 are unused. A word w is read as the
-53-bit draw x = w >> 11, which stands for u = x * 2**-53, and every test on
-it is an exact integer comparison: u < p exactly when x < ceil(p * 2**53)
-(a click, or the interfering branch at p = overlap), and an inverse-CDF
-lookup returns the number of entries c of its row with ceil(c * 2**53) <= x.
+number, the second arm's, the mixture branch (only for an interference weight
+w strictly between 0 and 1), the splitter outcome and the bit-0 and bit-1
+clicks; words 6 and 7 are unused. A word is read as the 53-bit draw
+x = word >> 11, which stands for u = x * 2**-53, and every test on it is an
+exact integer comparison: u < p exactly when x < ceil(p * 2**53) (a click, or
+the interfering branch at p = w), and an inverse-CDF lookup returns the number
+of entries c of its row with ceil(c * 2**53) <= x.
 A splitter row of input total t holds 1.0 from entry t on, so its lookup
 stops at the row's own total wherever the row's cumsum ends.
 ``run`` samples chunk k on one helper thread while the calling thread draws
@@ -34,7 +35,6 @@ import numpy as np
 
 from .detection import DetectorPair
 from .fock import (
-    SourceKind,
     SourceModel,
     TruncationPolicy,
     _binomial_row,
@@ -230,18 +230,20 @@ class _GuideTable:
 class _SamplerTables:
     """Precomputed inverse-CDF tables for one configuration.
 
-    Splitter CDF rows are laid out per law. The interfering law has one row
-    per input pair (m, n), at row m * stride + n with stride B + 1 for arm
-    totals up to A and B. The routed law depends on the total t = m + n
-    alone, so it has one row per total, at row routed_offset + t; a mixture
-    stacks these below the interfering rows. A row of total t holds its
-    cumsum in entries 0..t-1 and 1.0 from t on, so a lookup stops at t. The
-    tables are built once per run and amortize over millions of gates.
+    Splitter CDF rows are laid out per law, for the laws the interference
+    weight w uses: interfering when w > 0, routed when w < 1. The interfering
+    law has one row per input pair (m, n), at row m * stride + n with stride
+    B + 1 for arm totals up to A and B. The routed law depends on the total
+    t = m + n alone, so it has one row per total, at row routed_offset + t,
+    below any interfering rows. A row of total t holds its cumsum in entries
+    0..t-1 and 1.0 from t on, so a lookup stops at t. The tables are built
+    once per run and amortize over millions of gates.
     """
 
     def __init__(self, cfg: SimConfig):
-        kind = cfg.source.kind
-        single = kind is SourceKind.SINGLE
+        # The one place the label changes seeded bytes: one arm of mean mu for
+        # ``single``, two of mu / 2 otherwise. ROADMAP direction 8 removes it.
+        single = cfg.source.label == "single"
         mean = cfg.mu if single else cfg.mu / 2.0
         # An arm's table stops where truncation_bound does, so it fits under
         # the cap exactly when the arm's share of the cap holds all but the tail.
@@ -260,8 +262,8 @@ class _SamplerTables:
         self.arm_b = None if single else self.arm_a
 
         width = max_arm_a + max_arm_b + 1
-        interfering = kind in (SourceKind.INDISTINGUISHABLE, SourceKind.MIXTURE)
-        routing = kind is not SourceKind.INDISTINGUISHABLE
+        interfering = cfg.source.overlap > 0.0
+        routing = cfg.source.overlap < 1.0
         # Row of input (m, n) in the first law laid out: m * stride + n.
         self.stride = max_arm_b + 1 if interfering else 1
         self.routed_offset = (max_arm_a + 1) * self.stride if interfering else 0
@@ -293,7 +295,7 @@ def _classify(cfg: SimConfig, words: np.ndarray, tables: _SamplerTables) -> np.n
     else:
         n = tables.arm_b.lookup(draws(_SLOT_ARM_B))
     rows = m * tables.stride + n
-    if cfg.source.kind is SourceKind.MIXTURE:
+    if 0.0 < cfg.source.overlap < 1.0:
         # A routed gate reads the row of its total below the interfering rows.
         routed = draws(_SLOT_BRANCH) >= tables.routed
         np.copyto(rows, m + n + tables.routed_offset, where=routed)

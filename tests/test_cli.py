@@ -133,6 +133,17 @@ class TestSweep:
         _, rows = parse_sweep_csv(out)
         assert {r["source"] for r in rows} == {"dist", "mix:0.5"}
 
+    def test_mixture_endpoints_print_the_named_pairs_rows(self):
+        labels = ("mix:0", "dist", "mix:1", "indist")
+        spec = SweepSpec(0.05, 40.0, 25, sources=tuple(map(SourceModel.from_label, labels)))
+        rows = {(r.mu_eta, r.source): r for r in sweep(spec)}
+        for mu_eta in spec.grid():
+            for mixture, named in (("mix:0", "dist"), ("mix:1", "indist")):
+                a, b = rows[mu_eta, mixture], rows[mu_eta, named]
+                assert (a.p_gen, a.p_disc, a.p_none, a.contrast) == (
+                    b.p_gen, b.p_disc, b.p_none, b.contrast
+                ), (mu_eta, mixture)
+
 
 class TestOptimum:
     def test_single_closed_form(self, capsys):
@@ -213,6 +224,25 @@ class TestGenerate:
         code, stdout, err = run_cli(capsys, "generate", flag, value, "--out", str(out))
         assert code == 1 and stdout == ""
         assert f"{flag[2:].replace('-', '_')} must be positive and finite" in err
+        assert not out.exists()
+
+    def test_provenance_keeps_the_mixture_weight(self, capsys, tmp_path):
+        out = tmp_path / "m.bits"
+        code, _, _ = run_cli(
+            capsys, "generate", "--source", "mix:0.1234567", "--gates", "2000",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert BitStream.read(out).provenance["source"] == "mix:0.1234567"
+        code, stdout, _ = run_cli(capsys, "optimum", "--source", "mix:0.1234567")
+        assert code == 0 and stdout.startswith("source=mix:0.1234567\n")
+
+    @pytest.mark.parametrize("label", ["mix:", "mix:abc"])
+    def test_bad_mixture_label_names_the_accepted_forms(self, capsys, tmp_path, label):
+        out = tmp_path / "x.bits"
+        code, stdout, err = run_cli(capsys, "generate", "--source", label, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert f"unknown source {label!r}; expected single, indist, dist or mix:<overlap>" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])

@@ -468,6 +468,18 @@ class TestTableBuilds:
         assert len(sweep(spec)) == 4 * points
         assert builds == {"weights": points, "transform": points}
 
+    @pytest.mark.parametrize("label", ["mix:0", "dist", "single"])
+    def test_no_interference_never_transforms(self, label, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built an interfering table at w = 0")
+
+        clear_table_caches()
+        monkeypatch.setattr(fock, "_transformed", refuse)
+        monkeypatch.setattr(fock, "_interfering_rows", refuse)
+        source = SourceModel.from_label(label)
+        for mu in (2.1, 40.0):
+            output_joint_distribution(source, mu)
+
 
 class TestSourceLabels:
     def test_round_trip(self):
@@ -477,6 +489,32 @@ class TestSourceLabels:
     def test_unknown_label(self):
         with pytest.raises(ValueError):
             SourceModel.from_label("laser")
+
+    @pytest.mark.parametrize("label", ["mix:", "mix:abc", "laser"])
+    def test_bad_label_names_the_accepted_forms(self, label):
+        expected = f"unknown source {label!r}; expected single, indist, dist or mix:<overlap>"
+        with pytest.raises(ValueError) as info:
+            SourceModel.from_label(label)
+        assert str(info.value) == expected
+
+    def test_out_of_range_mixture_names_the_overlap(self):
+        with pytest.raises(ValueError, match=r"overlap must lie in \[0, 1\]"):
+            SourceModel.from_label("mix:1.5")
+
+    def test_overlap_is_the_interference_weight(self):
+        assert SourceModel.single().overlap == 0.0
+        assert SourceModel.distinguishable_pair().overlap == 0.0
+        assert SourceModel.indistinguishable_pair().overlap == 1.0
+
+    def test_short_labels_print_as_before(self):
+        for w, label in ((0.5, "mix:0.5"), (0.3, "mix:0.3"), (1.0, "mix:1"), (0.0, "mix:0")):
+            assert SourceModel.partial_mixture(w).label == label
+
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    def test_mixture_label_keeps_every_digit(self, w):
+        source = SourceModel.partial_mixture(w)
+        assert float(source.label[4:]) == w
+        assert SourceModel.from_label(source.label) == source
 
 
 class TestCoincidenceContrast:

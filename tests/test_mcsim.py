@@ -292,6 +292,36 @@ class TestSplitterSampling:
         assert peak <= limit_mb * 1e6
 
 
+class TestInterferenceWeight:
+    """The endpoints w = 0 and 1 of a mixture are the named pairs, table for table."""
+
+    @pytest.mark.parametrize("mixture, named", [("mix:0", "dist"), ("mix:1", "indist")])
+    @pytest.mark.parametrize("mu, eta0, eta1", [(2.1, 1.0, 1.0), (40.0, 0.3, 0.9)])
+    def test_endpoint_outcomes_are_byte_identical(self, mixture, named, mu, eta0, eta1):
+        outcomes = []
+        for label in (mixture, named):
+            cfg = make_cfg(n_gates=20_000, seed=3, mu=mu, source=SourceModel.from_label(label),
+                           detectors=DetectorPair(eta0, eta1))
+            outcomes.append(run(cfg)[1].tobytes())
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("label, unused", [
+        ("mix:0", "_interfering_rows"),
+        ("dist", "_interfering_rows"),
+        ("single", "_interfering_rows"),
+        ("mix:1", "_binomial_row"),
+        ("indist", "_binomial_row"),
+    ])
+    def test_builds_only_the_rows_the_weight_uses(self, label, unused, monkeypatch):
+        import bsqrng.mcsim as mcsim
+
+        def refuse(*args):
+            raise AssertionError(f"{label} built {unused} rows")
+
+        monkeypatch.setattr(mcsim, unused, refuse)
+        _SamplerTables(make_cfg(mu=40.0, source=SourceModel.from_label(label)))
+
+
 class TestAgreementWithAnalytics:
     @pytest.mark.parametrize("mu_eta", [0.5, 1.4, 2.1, 5.0])
     @pytest.mark.parametrize("source", [SINGLE, INDIST], ids=lambda s: s.label)
