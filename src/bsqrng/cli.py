@@ -206,8 +206,12 @@ def load_bitstream(path: str | Path) -> BitStream:
         head = fh.read(len(_MAGIC))
     if head == _MAGIC:
         return BitStream.read(path)
-    text = Path(path).read_text()
-    return BitStream.from_ascii(text)
+    try:
+        return BitStream.from_ascii(Path(path).read_text())
+    except ValueError:  # undecodable text too
+        raise ValueError(
+            f"{path}: neither a BSRB bit file nor ASCII '0'/'1' text"
+        ) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -395,14 +399,20 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    text = Path(args.input).read_text()
+    try:
+        text = Path(args.input).read_text()
+    except UnicodeDecodeError:
+        text = ""
     first_line = text.splitlines()[0] if text else ""
     if first_line == _CSV_HEADER:
         sys.stdout.write(parse_report_csv(text).to_text())
     elif first_line == _SWEEP_HEADER:
         sys.stdout.write(text)
     else:
-        raise ValueError(f"{args.input}: unrecognized stored result")
+        raise ValueError(
+            f"{args.input}: unrecognized stored result; expected a battery report "
+            "CSV or a sweep CSV"
+        )
     return 0
 
 

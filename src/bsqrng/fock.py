@@ -28,6 +28,15 @@ _LN2 = math.log(2.0)
 #: a call, not its precision: the splitter rows are exact at every total.
 MAX_INPUT_TOTAL = 200
 
+#: Largest photon total a table holds: the truncation bound of
+#: ``output_joint_distribution`` and the simulator's splitter tables alike.
+#: Their exact Krawtchouk rows are built total by total from big integers, and
+#: the splitter tables take about total^3 / 4 floats per branch, so brighter
+#: inputs are refused up front. At the default tail that is from mu_eff about
+#: 210.29 in the analytic tables; on a 0.25 grid the simulator refuses from mu
+#: 149.75 for a single arm and 116.75 for a pair.
+MAX_TABLE_TOTAL = 256
+
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -244,8 +253,20 @@ def output_joint_distribution(
     interference (w = 0) every photon total routes binomially
     (``_binomial_row``), which leaves two independent Poisson(mu_eff/2) output
     modes: the arm weights themselves. Any other w combines the two convexly.
+    A mean whose bound exceeds ``MAX_TABLE_TOTAL`` is refused with an
+    ``OverflowError`` before any table is built.
     """
-    bound = truncation_bound(mu_eff, policy)
+    # For a mean past the cap the Poisson CDF at the cap is about 1/2, far
+    # below 1 - tail_mass, so the bound lies past the cap too: skip the walk.
+    if MAX_TABLE_TOTAL < mu_eff < math.inf:
+        bound = MAX_TABLE_TOTAL + 1
+    else:
+        bound = truncation_bound(mu_eff, policy)
+    if bound > MAX_TABLE_TOTAL:
+        raise OverflowError(
+            f"mean photon number {mu_eff:g} needs Fock tables above photon total "
+            f"{MAX_TABLE_TOTAL}, the cap (fock.MAX_TABLE_TOTAL)"
+        )
     w = source.overlap
     if w == 0.0:
         return JointPhotonDistribution(_arm_weights(mu_eff, bound))

@@ -18,8 +18,8 @@ the interfering branch at p = w), and an inverse-CDF lookup returns the number
 of entries c of its row with ceil(c * 2**53) <= x.
 A splitter row of input total t holds 1.0 from entry t on, so its lookup
 stops at the row's own total wherever the row's cumsum ends.
-``run`` samples chunk k on one helper thread while the calling thread draws
-chunk k + 1's words; no output byte depends on this.
+``run`` samples chunk k on the one worker thread of a thread pool while the
+calling thread draws chunk k + 1's words; no output byte depends on this.
 This internal generator is simulation plumbing only; the randomness being
 modeled is the physics.
 """
@@ -27,7 +27,6 @@ modeled is the physics.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -35,6 +34,7 @@ import numpy as np
 
 from .detection import DetectorPair
 from .fock import (
+    MAX_TABLE_TOTAL,
     SourceModel,
     TruncationPolicy,
     _binomial_row,
@@ -59,12 +59,6 @@ _SLOT_CLICK1 = 5
 
 # Each arm table keeps all but this much of its Poisson law.
 _ARM_TAIL = 1e-15
-
-# Largest input photon total the splitter tables hold. The tables take about
-# total^3 / 4 floats per branch, and their exact Krawtchouk rows are built
-# total by total from big integers, so brighter runs are refused up front. On
-# a 0.25 grid that is from mu 149.75 for a single arm and 116.75 for a pair.
-MAX_TABLE_TOTAL = 256
 
 
 class Outcome(IntEnum):
@@ -251,7 +245,7 @@ class _SamplerTables:
         if poisson_cdf(cap_arm, mean) < 1.0 - _ARM_TAIL:
             raise OverflowError(
                 f"mu {cfg.mu:g} needs splitter tables above photon total "
-                f"{MAX_TABLE_TOTAL}, the simulator's cap (mcsim.MAX_TABLE_TOTAL)"
+                f"{MAX_TABLE_TOTAL}, the cap (fock.MAX_TABLE_TOTAL)"
             )
         max_arm_a = truncation_bound(mean, TruncationPolicy(_ARM_TAIL))
         max_arm_b = 0 if single else max_arm_a
@@ -315,7 +309,7 @@ def _simulate_range(
     return _classify(cfg, gate_uniforms(cfg.seed, start, stop), tables)
 
 
-# A chunk's words take 0.5 MB at 2**13 gates. While the helper thread samples
+# A chunk's words take 0.5 MB at 2**13 gates. While the worker thread samples
 # one chunk the caller draws the next, so two chunks' words and one chunk's
 # temporaries are live at once. On a 2-CPU x86 box, the generate workloads of
 # perfbench (2**21 gates) were fastest at 2**13 to 2**14 gates per chunk and
@@ -337,11 +331,12 @@ def run(
     before anything is allocated.
 
     The gates are taken in chunks of ``chunk_gates``. The calling thread
-    draws chunk k + 1's words with ``gate_uniforms`` while one helper thread
-    samples chunk k; Philox and numpy's sampling loops release the GIL, so
-    the two overlap. A chunk's codes depend only on its words, so no output
-    byte depends on the overlap. The helper is joined before ``run``
-    returns or raises.
+    draws chunk k + 1's words with ``gate_uniforms`` while the one worker of
+    a ``ThreadPoolExecutor`` samples chunk k; Philox and numpy's sampling
+    loops release the GIL, so the two overlap. At most one chunk is in
+    flight, and a sampler error is raised again from its future. A chunk's
+    codes depend only on its words, so no output byte depends on the
+    overlap. The worker is joined before ``run`` returns or raises.
     """
     if chunk_gates < 1:
         raise ValueError(f"chunk_gates must be at least 1, got {chunk_gates}")
@@ -350,42 +345,24 @@ def run(
             f"{cfg.n_gates} gates exceed the limit of {MAX_GATES} gates per run"
         )
     # Imported here so that `import bsqrng.cli` does not pay for it.
-    from queue import SimpleQueue
+    from concurrent.futures import ThreadPoolExecutor
 
     tables = _SamplerTables(cfg)
     outcomes = np.empty(cfg.n_gates, dtype=np.uint8)
-    todo: SimpleQueue = SimpleQueue()
-    done: SimpleQueue = SimpleQueue()
 
-    def sample_chunks() -> None:
+    def sample(lo: int, words: np.ndarray) -> np.ndarray:
         # Calls nothing that perfbench traces: its span stack is not
         # thread-safe, so gate_uniforms stays on the calling thread.
-        while (chunk := todo.get()) is not None:
-            lo, words = chunk
-            try:
-                codes = _classify(cfg, words, tables)
-                outcomes[lo : lo + len(codes)] = codes
-                done.put(np.bincount(codes, minlength=len(Outcome)))
-            except BaseException as exc:  # raised again on the calling thread
-                done.put(exc)
-
-    def collect() -> np.ndarray:
-        result = done.get()
-        if isinstance(result, BaseException):
-            raise result
-        return result
+        codes = _classify(cfg, words, tables)
+        outcomes[lo : lo + len(codes)] = codes
+        return np.bincount(codes, minlength=len(Outcome))
 
     counts = np.zeros(len(Outcome), dtype=np.int64)
-    helper = threading.Thread(target=sample_chunks, name="mcsim-sampler")
-    helper.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mcsim-sampler") as sampler:
         for lo in range(0, cfg.n_gates, chunk_gates):
             words = gate_uniforms(cfg.seed, lo, min(lo + chunk_gates, cfg.n_gates))
             if lo:
-                counts += collect()
-            todo.put((lo, words))
-        counts += collect()
-    finally:
-        todo.put(None)
-        helper.join()
+                counts += pending.result()
+            pending = sampler.submit(sample, lo, words)
+        counts += pending.result()
     return EventTally.from_counts(counts), outcomes

@@ -95,6 +95,22 @@ class TestSweep:
             for key in ("p_gen", "p_disc", "p_none"):
                 assert 0.0 <= float(row[key]) <= 1.0, row
 
+    def test_past_the_table_cap_maps_to_two(self, capsys):
+        from bsqrng.fock import MAX_TABLE_TOTAL
+
+        code, out, err = run_cli(
+            capsys, "sweep", "--mu-eta-min", "1", "--mu-eta-max", "1e9", "--points", "2",
+            "--source", "single",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(MAX_TABLE_TOTAL) in err
+        # Bound 245, under the cap.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--mu-eta-min", "1", "--mu-eta-max", "200", "--points", "2",
+            "--source", "single",
+        )
+        assert code == 0 and len(parse_sweep_csv(out)[1]) == 2
+
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(
@@ -170,6 +186,13 @@ class TestOptimum:
         code, out, err = run_cli(capsys, "optimum", "--bracket", "0.2", "inf")
         assert code == 1 and out == ""
         assert "bracket must be finite" in err
+
+    def test_bright_bracket_maps_to_two(self, capsys):
+        from bsqrng.fock import MAX_TABLE_TOTAL
+
+        code, out, err = run_cli(capsys, "optimum", "--bracket", "0.2", "1e9")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(MAX_TABLE_TOTAL) in err
 
     def test_library_bracket_validation(self):
         with pytest.raises(ValueError):
@@ -290,6 +313,13 @@ class TestTestCommand:
         code, _, _ = run_cli(capsys, "test", str(path), "--block-size", "2048")
         assert code == 1
 
+    def test_undecodable_file_names_the_accepted_forms(self, capsys, tmp_path):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(random.Random(5).randbytes(3000))
+        code, out, err = run_cli(capsys, "test", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path}: neither a BSRB bit file nor ASCII '0'/'1' text\n"
+
     def test_unknown_format_rejected_by_parser(self, capsys, tmp_path):
         path = tmp_path / "zeros.txt"
         path.write_text("0" * 4096)
@@ -327,6 +357,15 @@ class TestReportCommand:
         path.write_text("alpha,beta\n1,2\n")
         code, _, err = run_cli(capsys, "report", str(path))
         assert code == 1 and "unrecognized" in err
+
+    def test_undecodable_file_names_the_accepted_forms(self, capsys, tmp_path):
+        path = tmp_path / "junk.bin"
+        path.write_bytes(random.Random(5).randbytes(3000))
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 1 and out == ""
+        assert "codec" not in err
+        assert err.startswith(f"error: {path}: ")
+        assert "battery report CSV or a sweep CSV" in err
 
     def test_rejects_incomplete_battery_csv(self, capsys, tmp_path):
         path = tmp_path / "partial.csv"

@@ -14,6 +14,7 @@ from bsqrng.cli import SweepSpec, sweep
 from bsqrng.detection import coincidence_contrast
 from bsqrng.fock import (
     MAX_INPUT_TOTAL,
+    MAX_TABLE_TOTAL,
     SourceModel,
     TruncationPolicy,
     _binomial_row,
@@ -359,6 +360,43 @@ class TestJointDistribution:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             output_joint_distribution(SourceModel.single(), 0.0)
+
+    @pytest.mark.parametrize("label", ["single", "indist", "mix:0.5"])
+    def test_table_total_cap(self, label):
+        # The bound at mu 211 is 257, one above the cap.
+        with pytest.raises(OverflowError, match=str(MAX_TABLE_TOTAL)) as info:
+            output_joint_distribution(SourceModel.from_label(label), 211.0)
+        assert "211" in str(info.value)
+
+    @pytest.mark.parametrize("mu", [257.0, 1e9, 1e300])
+    def test_mean_past_the_cap_is_refused_without_a_walk(self, monkeypatch, mu):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("truncation_bound walked for a mean past the cap")
+
+        monkeypatch.setattr(fock, "truncation_bound", no_walk)
+        with pytest.raises(OverflowError, match=str(MAX_TABLE_TOTAL)):
+            output_joint_distribution(SourceModel.single(), mu)
+
+    @pytest.mark.parametrize("label", ["single", "indist", "mix:0.5"])
+    def test_table_total_refusal_is_monotone_in_mu(self, monkeypatch, label):
+        class Accepted(Exception):
+            pass
+
+        def accepted(*args, **kwargs):
+            raise Accepted
+
+        monkeypatch.setattr(fock, "_arm_weights", accepted)
+        refused = []
+        for mu in np.arange(200.0, 230.25, 0.25):
+            try:
+                output_joint_distribution(SourceModel.from_label(label), float(mu))
+            except OverflowError:
+                refused.append(True)
+            except Accepted:
+                refused.append(False)
+        # Once a mu is refused, every brighter one is refused too.
+        assert refused == sorted(refused)
+        assert not refused[0] and refused[-1]
 
     @pytest.mark.parametrize("label", ["single", "indist", "dist", "mix:0.5"])
     def test_default_policy_meets_mass_floor(self, label):

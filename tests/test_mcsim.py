@@ -142,6 +142,37 @@ class TestHelperThread:
         assert threading.enumerate() == before
         assert len(calls) == 3
 
+    def test_caller_error_is_raised_after_the_submitted_chunk(self, monkeypatch):
+        import bsqrng.mcsim as mcsim
+
+        before = threading.enumerate()
+
+        class PhiloxFault(Exception):
+            pass
+
+        inner_words, inner_classify = mcsim.gate_uniforms, mcsim._classify
+        words_calls, sampled = [], []
+
+        def words(*args):
+            words_calls.append(None)
+            if len(words_calls) == 3:
+                raise PhiloxFault
+            return inner_words(*args)
+
+        def classify(*args):
+            codes = inner_classify(*args)
+            sampled.append(len(codes))
+            return codes
+
+        monkeypatch.setattr(mcsim, "gate_uniforms", words)
+        monkeypatch.setattr(mcsim, "_classify", classify)
+        with pytest.raises(PhiloxFault):
+            run(make_cfg(n_gates=5000), chunk_gates=777)
+        assert threading.enumerate() == before
+        # Chunk 0 was collected and chunk 1, in flight when the third draw
+        # failed, was sampled to the end before run raised.
+        assert sampled == [777, 777]
+
 
 class TestTally:
     def test_partition_of_gates(self):
