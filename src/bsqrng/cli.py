@@ -78,7 +78,11 @@ _SWEEP_HEADER = "mu_eta,source,p_gen,p_disc,p_none,contrast"
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Analytic generation/discard/contrast table over the grid."""
+    """Analytic generation/discard/contrast table over the grid.
+
+    A source whose tables would pass the photon-total cap at a point keeps its
+    row, with nan probabilities and the refusal as its error.
+    """
     rows = []
     for mu_eta in spec.grid():
         try:
@@ -88,19 +92,18 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
         else:
             contrast_error = ""
         for source in spec.sources:
-            probs = outcome_probabilities(
-                output_joint_distribution(source, float(mu_eta))
-            )
-            rows.append(
-                SweepRow(
-                    float(mu_eta),
-                    source.label,
-                    probs.p_gen,
-                    probs.p_disc,
-                    probs.p_none,
-                    contrast,
-                    contrast_error,
+            try:
+                probs = outcome_probabilities(
+                    output_joint_distribution(source, float(mu_eta))
                 )
+            except OverflowError as exc:
+                p_gen = p_disc = p_none = math.nan
+                error = str(exc)
+            else:
+                p_gen, p_disc, p_none = probs.p_gen, probs.p_disc, probs.p_none
+                error = contrast_error
+            rows.append(
+                SweepRow(float(mu_eta), source.label, p_gen, p_disc, p_none, contrast, error)
             )
     return rows
 
@@ -343,11 +346,16 @@ def _cmd_sweep(args) -> int:
                      spacing="log", source=_DEFAULT_SOURCES)
     spec = SweepSpec(args.mu_eta_min, args.mu_eta_max, args.points, args.spacing,
                      _parse_sources(args.source))
-    text = sweep_csv(sweep(spec))
+    rows = sweep(spec)
+    text = sweep_csv(rows)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    # Only a refused table leaves p_gen nan; its rows are written, the status is 2.
+    refused = [r.error for r in rows if math.isnan(r.p_gen)]
+    if refused:
+        raise OverflowError(refused[0])
     return 0
 
 

@@ -193,6 +193,10 @@ def _krawtchouk_rows(total: int) -> np.ndarray:
 _krawtchouk_rows.cache_clear = _krawtchouk_last.clear
 
 
+# Largest total whose Krawtchouk products fit int64 exactly.
+_INT64_TOTAL = 62
+
+
 @lru_cache(maxsize=None)
 def _interfering_rows(total: int) -> np.ndarray:
     """Interfering splitter rows of one input total, read-only.
@@ -201,10 +205,17 @@ def _interfering_rows(total: int) -> np.ndarray:
     (m, total - m): |<M, total - M|m, total - m>|^2 =
     C(total, m) K^2 / (C(total, M) 2^total). By the duality
     C(total, m) K[m, M] = C(total, M) K[M, m] that is K[m, M] K[M, m] / 2^total,
-    and one int-by-int true division rounds it correctly.
+    and one int-by-int true division rounds it correctly. Up to total 62 the
+    product is taken in int64: |K| and |K[m, M] K[M, m]| = p 2^total are at
+    most 2^total < 2^63, the conversion to float rounds once and the division
+    by a power of two is exact, which is the same correctly rounded quotient.
     """
     k = _krawtchouk_rows(total)
-    rows = ((k * k.T) / (1 << total)).astype(float)
+    if total <= _INT64_TOTAL:
+        k = k.astype(np.int64)
+        rows = (k * k.T) / float(1 << total)
+    else:
+        rows = ((k * k.T) / (1 << total)).astype(float)
     rows.setflags(write=False)
     return rows
 

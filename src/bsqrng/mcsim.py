@@ -59,6 +59,10 @@ _SLOT_CLICK1 = 5
 
 # Each arm table keeps all but this much of its Poisson law.
 _ARM_TAIL = 1e-15
+# Budget of guide entries, rows times buckets: a one-row arm table gets 2**12
+# buckets (32 KB), and a splitter table of hundreds of rows keeps the bucket
+# count of its width rule.
+_GUIDE_ENTRIES = 1 << 12
 
 
 class Outcome(IntEnum):
@@ -174,8 +178,9 @@ class _GuideTable:
     Indexed search (Chen & Asau 1974; Devroye 1986, section III.2.4) in the
     integer domain. Each entry c is kept as its threshold ceil(c * 2**53),
     which is <= a draw x exactly when c <= u = x * 2**-53. ``guide[r, b]``
-    counts the entries of row r that are <= b/G, for a power of two
-    G >= 2 * width. A lookup starts there, at bucket b = x >> (53 - log2 G),
+    counts the entries of row r that are <= b/G, for G the largest power of
+    two with n_rows * G <= 2**12, raised to the least power of two >= 2 * width
+    if that is more. A lookup starts there, at bucket b = x >> (53 - log2 G),
     which is floor(u * G), and steps over the few entries still <= u. So
     ``lookup`` equals ``min(searchsorted(row, u, "right"), width - 1)`` for
     every x in [0, 2**53). That needs only that the entries <= u form a
@@ -187,6 +192,8 @@ class _GuideTable:
         n_rows, width = cdf_rows.shape
         self.width = width
         self.n_buckets = 1 << (2 * width - 1).bit_length()
+        while 2 * n_rows * self.n_buckets <= _GUIDE_ENTRIES:
+            self.n_buckets *= 2
         self._shift = _DRAW_BITS - (self.n_buckets.bit_length() - 1)
         # The largest threshold in the last column stops every scan at
         # width - 1, the clamp.
@@ -279,27 +286,33 @@ class _SamplerTables:
 
 def _classify(cfg: SimConfig, words: np.ndarray, tables: _SamplerTables) -> np.ndarray:
     """Outcome codes of the gates whose raw words are the rows of ``words``."""
-
-    def draws(slot: int) -> np.ndarray:
-        return (words[:, slot] >> (64 - _DRAW_BITS)).view(np.int64)
-
-    m = tables.arm_a.lookup(draws(_SLOT_ARM_A))
+    # Row s of x holds every gate's draw from word slot s, contiguous.
+    slots = words[:, : _SLOT_CLICK1 + 1].T
+    x = np.right_shift(slots, 64 - _DRAW_BITS, order="C").view(np.int64)
     if tables.arm_b is None:
-        n = 0
+        m = tables.arm_a.lookup(x[_SLOT_ARM_A])
+        rows = m * tables.stride
+        total = m
     else:
-        n = tables.arm_b.lookup(draws(_SLOT_ARM_B))
-    rows = m * tables.stride + n
+        # Both arms read one table: look the two slots up in one pass.
+        arms = tables.arm_a.lookup(x[_SLOT_ARM_A : _SLOT_ARM_B + 1].reshape(-1))
+        m, n = arms.reshape(2, -1)
+        rows = m * tables.stride
+        rows += n
+        total = m + n
     if 0.0 < cfg.source.overlap < 1.0:
         # A routed gate reads the row of its total below the interfering rows.
-        routed = draws(_SLOT_BRANCH) >= tables.routed
-        np.copyto(rows, m + n + tables.routed_offset, where=routed)
-    out_m = tables.splitter.lookup(draws(_SLOT_SPLITTER), rows)
-    out_n = m + n - out_m
+        routed = x[_SLOT_BRANCH] >= tables.routed
+        np.copyto(rows, total + tables.routed_offset, where=routed)
+    out_m = tables.splitter.lookup(x[_SLOT_SPLITTER], rows)
+    out_n = np.subtract(total, out_m, out=total)
 
-    click0 = draws(_SLOT_CLICK0) < tables.click0[out_m]
-    click1 = draws(_SLOT_CLICK1) < tables.click1[out_n]
+    click0 = x[_SLOT_CLICK0] < tables.click0[out_m]
+    click1 = x[_SLOT_CLICK1] < tables.click1[out_n]
     # Outcome codes are exactly click0 + 2 * click1.
-    return click0.view(np.uint8) | (click1.view(np.uint8) << 1)
+    codes = click1.view(np.uint8) << 1
+    codes |= click0.view(np.uint8)
+    return codes
 
 
 def _simulate_range(
@@ -311,10 +324,11 @@ def _simulate_range(
 
 # A chunk's words take 0.5 MB at 2**13 gates. While the worker thread samples
 # one chunk the caller draws the next, so two chunks' words and one chunk's
-# temporaries are live at once. On a 2-CPU x86 box, the generate workloads of
-# perfbench (2**21 gates) were fastest at 2**13 to 2**14 gates per chunk and
-# 20 to 30 % slower at 2**12; 2**14 raised optimum-pipeline's peak RSS by
-# 2.6 MB over 2**13 (one huge-page step), 2**13 by 0.4 MB over the serial loop.
+# temporaries are live at once. On a 2-CPU x86 box, four untraced 5 s
+# perfbench runs per size of the generate workloads (2**21 gates) gave median
+# wall_s of 0.248, 0.194 and 0.172 s at 2**12, 2**13 and 2**14 gates per
+# chunk for bright-mixture, and 0.219, 0.184 and 0.168 s for optimum-pipeline;
+# 2**14 raised their peak RSS by 1.7 and 2.6 MB over 2**13 (a huge-page step).
 DEFAULT_CHUNK_GATES = 1 << 13
 # The outcome array takes one byte per gate: 256 MB at the limit.
 MAX_GATES = 1 << 28
@@ -332,11 +346,14 @@ def run(
 
     The gates are taken in chunks of ``chunk_gates``. The calling thread
     draws chunk k + 1's words with ``gate_uniforms`` while the one worker of
-    a ``ThreadPoolExecutor`` samples chunk k; Philox and numpy's sampling
-    loops release the GIL, so the two overlap. At most one chunk is in
-    flight, and a sampler error is raised again from its future. A chunk's
-    codes depend only on its words, so no output byte depends on the
-    overlap. The worker is joined before ``run`` returns or raises.
+    a ``ThreadPoolExecutor`` samples chunk k. Philox releases the GIL for
+    its whole draw, so it overlaps the sampling; the sampler is a few dozen
+    short numpy calls per chunk, which hold the GIL between their loops, so
+    it is bound by its per-call cost and a second sampling thread does not
+    help. At most one chunk is in flight, and a sampler error is raised
+    again from its future. A chunk's codes depend only on its words, so no
+    output byte depends on the overlap. The worker is joined before ``run``
+    returns or raises.
     """
     if chunk_gates < 1:
         raise ValueError(f"chunk_gates must be at least 1, got {chunk_gates}")

@@ -102,14 +102,35 @@ class TestSweep:
             capsys, "sweep", "--mu-eta-min", "1", "--mu-eta-max", "1e9", "--points", "2",
             "--source", "single",
         )
-        assert code == 2 and out == ""
+        assert code == 2
         assert err.startswith("error:") and str(MAX_TABLE_TOTAL) in err
+        # The refused point is a comment row with nan probabilities.
+        note, row = out.splitlines()[2:]
+        assert note == f"# mu_eta=1e+09 source=single error: {err[len('error: '):].strip()}"
+        assert row.split(",")[:5] == ["1e+09", "single", "nan", "nan", "nan"]
         # Bound 245, under the cap.
         code, out, _ = run_cli(
             capsys, "sweep", "--mu-eta-min", "1", "--mu-eta-max", "200", "--points", "2",
             "--source", "single",
         )
         assert code == 0 and len(parse_sweep_csv(out)[1]) == 2
+
+    def test_rows_under_the_table_cap_are_written(self, capsys, tmp_path):
+        # A sweep of two points starting at mu_eta 1 gives that row alone.
+        code, alone, _ = run_cli(
+            capsys, "sweep", "--mu-eta-min", "1", "--mu-eta-max", "2", "--points", "2",
+            "--source", "single,indist",
+        )
+        assert code == 0
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--mu-eta-min", "1", "--mu-eta-max", "1e9", "--points", "2",
+            "--source", "single,indist", "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and "MAX_TABLE_TOTAL" in err
+        header, *rows = out_path.read_text().splitlines()
+        assert [header] + rows[:2] == alone.splitlines()[:3]
+        assert [r.startswith("# mu_eta=1e+09") for r in rows[2:]] == [True, False, True, False]
 
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"

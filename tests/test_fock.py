@@ -19,6 +19,7 @@ from bsqrng.fock import (
     TruncationPolicy,
     _binomial_row,
     _interfering_rows,
+    _krawtchouk_rows,
     _transformed,
     bs_output_amplitudes,
     output_joint_distribution,
@@ -244,6 +245,14 @@ class TestSplitterTransform:
         assert row.tolist() == [float(p) for p in probs]
         amp = bs_output_amplitudes((m, n))
         assert np.abs(amp - phases * np.sqrt(row)).max() <= 1e-15
+
+    def test_int64_rows_equal_the_big_integer_quotient(self):
+        # Totals up to 62 multiply in int64, above in Python ints.
+        for total in range(71):
+            k = _krawtchouk_rows(total)
+            exact = ((k * k.T) / (1 << total)).astype(float)
+            assert np.array_equal(_interfering_rows(total), exact), total
+        assert max(abs(v) for v in _krawtchouk_rows(62).ravel()) < 2**62
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):

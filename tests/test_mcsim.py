@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsqrng import mcsim
 from bsqrng.detection import DetectorPair, outcome_probabilities
 from bsqrng.fock import (
     SourceModel,
@@ -25,6 +26,7 @@ from bsqrng.mcsim import (
     SimConfig,
     _GuideTable,
     _SamplerTables,
+    _classify,
     _simulate_range,
     _thresholds,
     gate_uniforms,
@@ -216,11 +218,12 @@ DRAWS = 2**53  # a draw x is a 53-bit integer standing for u = x * 2**-53
 
 def reference_lookup(table, rows, x):
     """Clamped searchsorted of the float rows at the draws' uniforms."""
-    width = table.shape[1]
     u = x * 2.0**-53
-    return np.array(
-        [min(np.searchsorted(table[r], v, side="right"), width - 1) for r, v in zip(rows, u)]
-    )
+    out = np.empty(len(x), dtype=np.int64)
+    for r in range(table.shape[0]):
+        here = rows == r
+        out[here] = np.searchsorted(table[r], u[here], side="right")
+    return np.minimum(out, table.shape[1] - 1)
 
 
 def probe_draws(table, n_buckets):
@@ -236,8 +239,12 @@ class TestGuideTable:
     @given(cdf_tables(), st.lists(st.integers(0, DRAWS - 1), max_size=20))
     def test_matches_clamped_searchsorted(self, table, extra):
         guide = _GuideTable(table)
-        assert guide.n_buckets >= 2 * table.shape[1]
+        n_rows, width = table.shape
+        assert guide.n_buckets >= 2 * width
         assert guide.n_buckets & (guide.n_buckets - 1) == 0
+        # The most buckets within 2**12 guide entries, unless the width needs more.
+        if guide.n_buckets != 1 << (2 * width - 1).bit_length():
+            assert n_rows * guide.n_buckets <= 2**12 < 2 * n_rows * guide.n_buckets
         probes = np.concatenate([probe_draws(table, guide.n_buckets), extra]).astype(np.int64)
         rows = np.repeat(np.arange(table.shape[0]), probes.size)
         x = np.tile(probes, table.shape[0])
@@ -247,6 +254,22 @@ class TestGuideTable:
         guide = _GuideTable(np.array([[0.3], [1.0]]))
         x = np.array([0, _thresholds(0.3), DRAWS // 2, DRAWS - 1])
         assert np.array_equal(guide.lookup(x, np.array([0, 1, 0, 1])), np.zeros(4))
+
+    @pytest.mark.parametrize("label, mu", [("indist", 2.1), ("mix:0.5", 8.0), ("single", 149.5)])
+    def test_arm_table_matches_clamped_searchsorted(self, label, mu, monkeypatch):
+        built = []
+
+        def recording(cdf_rows):
+            built.append(cdf_rows)
+            return _GuideTable(cdf_rows)
+
+        monkeypatch.setattr(mcsim, "_GuideTable", recording)
+        arm = _SamplerTables(make_cfg(mu=mu, source=SourceModel.from_label(label))).arm_a
+        cdf = built[0]
+        assert cdf.shape == (1, arm.width) and arm.n_buckets == 2**12
+        x = probe_draws(cdf, arm.n_buckets).astype(np.int64)
+        rows = np.zeros(x.size, dtype=np.int64)
+        assert np.array_equal(arm.lookup(x), reference_lookup(cdf, rows, x))
 
     def test_scalar_row_defaults_to_first(self):
         cdf = np.array([0.25, 0.5, 0.75, 1.0])
@@ -286,6 +309,40 @@ class TestIntegerDraws:
     @given(st.integers(0, DRAWS - 1), st.integers(0, 20))
     def test_bucket_is_floor_of_scaled_uniform(self, x, log2_buckets):
         assert x >> (53 - log2_buckets) == math.floor(x * 2.0**-53 * 2**log2_buckets)
+
+
+def reference_classify(cfg, words, tables):
+    """The sampler as first written: one draw slot, one lookup at a time."""
+
+    def draws(slot):
+        return (words[:, slot] >> 11).view(np.int64)
+
+    m = tables.arm_a.lookup(draws(0))
+    n = 0 if tables.arm_b is None else tables.arm_b.lookup(draws(1))
+    rows = m * tables.stride + n
+    if 0.0 < cfg.source.overlap < 1.0:
+        routed = draws(2) >= tables.routed
+        np.copyto(rows, m + n + tables.routed_offset, where=routed)
+    out_m = tables.splitter.lookup(draws(3), rows)
+    out_n = m + n - out_m
+    click0 = draws(4) < tables.click0[out_m]
+    click1 = draws(5) < tables.click1[out_n]
+    return click0.view(np.uint8) | (click1.view(np.uint8) << 1)
+
+
+class TestClassify:
+    @pytest.mark.parametrize("label", ["single", "indist", "dist", "mix:0.5", "mix:0.9"])
+    def test_matches_slot_by_slot_reference(self, label):
+        cfg = make_cfg(mu=8.0, source=SourceModel.from_label(label),
+                       detectors=DetectorPair(0.3, 0.9))
+        tables = _SamplerTables(cfg)
+        for start, stop in [(0, 3 * 8192 + 5), (11, 12)]:
+            words = gate_uniforms(7, start, stop)
+            kept = words.copy()
+            codes = _classify(cfg, words, tables)
+            assert codes.dtype == np.uint8
+            assert codes.tobytes() == reference_classify(cfg, words, tables).tobytes()
+            assert np.array_equal(words, kept)
 
 
 class TestSplitterSampling:
