@@ -17,15 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import (
-    DetectorPair,
-    coincidence_contrast,
-    outcome_probabilities,
-    throughput,
-)
+from .detection import DetectorPair, coincidence_contrast, outcome_probabilities
 from .fock import SourceModel, output_joint_distribution
 from .mcsim import SimConfig, run
-from .postproc import _MAGIC, BitStream, events_to_bits, stream_stats, von_neumann
+from .postproc import _MAGIC, BitStream, events_to_bits, ones_fraction, von_neumann
 from .randtests import _CSV_HEADER, parse_report_csv, run_battery
 
 _ENV_CONFIG = "BSQRNG_CONFIG"
@@ -188,18 +183,18 @@ def generate(
         stream = von_neumann(stream)
     stream.write(out_path)
 
-    stats = stream_stats(stream)
     summary = {
         "out": str(out_path),
         **tally.summary(),
         "raw_bits": str(raw_length),
         "output_bits": str(stream.length),
-        "raw_throughput_bits_per_s": f"{throughput(tally.p_gen, cfg.gate_rate):.9g}",
+        "raw_throughput_bits_per_s": f"{tally.p_gen * cfg.gate_rate:.9g}",
     }
-    if stats.ones_fraction is not None:
-        summary["ones_fraction"] = f"{stats.ones_fraction:.9g}"
-    if debias_flag and stats.extraction_efficiency is not None:
-        summary["extraction_efficiency"] = f"{stats.extraction_efficiency:.9g}"
+    ones = ones_fraction(stream)
+    if ones is not None:
+        summary["ones_fraction"] = f"{ones:.9g}"
+    if debias_flag and raw_length > 0:
+        summary["extraction_efficiency"] = f"{stream.length / raw_length:.9g}"
     return stream, summary
 
 

@@ -162,11 +162,3 @@ def folding_equivalence_check(mu: float, eta: float, source: SourceModel) -> flo
         deviations.append(abs(lossy.p_bit0_given_valid - folded.p_bit0_given_valid))
     return max(deviations)
 
-
-def throughput(p_gen: float, gate_rate: float) -> float:
-    """Raw bit rate: probability of a valid bit times the gate frequency."""
-    if not 0.0 <= p_gen <= 1.0:
-        raise ValueError(f"p_gen must lie in [0, 1], got {p_gen}")
-    if gate_rate <= 0.0:
-        raise ValueError(f"gate rate must be positive, got {gate_rate}")
-    return p_gen * gate_rate

@@ -24,17 +24,17 @@ from .special import poisson_cdf
 
 _LN2 = math.log(2.0)
 
-#: Largest input total ``bs_output_amplitudes`` accepts. It bounds the cost of
-#: a call, not its precision: the splitter rows are exact at every total.
-MAX_INPUT_TOTAL = 200
-
-#: Largest photon total a table holds: the truncation bound of
+#: Largest photon total of any Fock object here: the input total of
+#: ``bs_output_amplitudes``, the truncation bound of
 #: ``output_joint_distribution`` and the simulator's splitter tables alike.
-#: Their exact Krawtchouk rows are built total by total from big integers, and
-#: the splitter tables take about total^3 / 4 floats per branch, so brighter
-#: inputs are refused up front. At the default tail that is from mu_eff about
-#: 210.29 in the analytic tables; on a 0.25 grid the simulator refuses from mu
-#: 149.75 for a single arm and 116.75 for a pair.
+#: It bounds cost, not precision: the exact Krawtchouk rows are built total by
+#: total from big integers, and the splitter tables take about total^3 / 4
+#: floats per branch. A mean is refused up front when its truncation bound
+#: passes its share of the cap (``_capped_bound``): the whole cap for an
+#: analytic table or a single arm, half of it for each arm of a pair. At the
+#: default tail that is from mu_eff about 210.29 in the analytic tables; on a
+#: 0.25 grid the simulator refuses from mu 149.75 for a single arm and 116.75
+#: for a pair.
 MAX_TABLE_TOTAL = 256
 
 
@@ -156,6 +156,19 @@ def truncation_bound(mu: float, policy: TruncationPolicy = DEFAULT_TRUNCATION) -
     return k
 
 
+def _capped_bound(mu: float, policy: TruncationPolicy, cap: int) -> int | None:
+    """``truncation_bound(mu, policy)`` if it is at most ``cap``, else None.
+
+    A mean past the cap is refused without the walk: the Poisson CDF at the
+    cap is then about 1/2, far below 1 - tail_mass, so the bound lies past the
+    cap too.
+    """
+    if cap < mu < math.inf:
+        return None
+    bound = truncation_bound(mu, policy)
+    return bound if bound <= cap else None
+
+
 @lru_cache(maxsize=None)
 def _log_factorials(n: int) -> np.ndarray:
     return np.array([math.lgamma(i + 1) for i in range(n + 1)])
@@ -242,9 +255,9 @@ def bs_output_amplitudes(input_pair: tuple[int, int]) -> np.ndarray:
     if m < 0 or n < 0:
         raise ValueError(f"photon counts must be non-negative, got {(m, n)}")
     total = m + n
-    if total > MAX_INPUT_TOTAL:
+    if total > MAX_TABLE_TOTAL:
         raise OverflowError(
-            f"input total {total} exceeds the supported bound {MAX_INPUT_TOTAL}"
+            f"input total {total} exceeds the supported bound {MAX_TABLE_TOTAL}"
         )
     phase = np.array([1.0, 1.0j, -1.0, -1.0j])[(np.arange(total + 1) + m) % 4]
     sign = np.sign(_krawtchouk_rows(total)[m]).astype(float)
@@ -267,13 +280,8 @@ def output_joint_distribution(
     A mean whose bound exceeds ``MAX_TABLE_TOTAL`` is refused with an
     ``OverflowError`` before any table is built.
     """
-    # For a mean past the cap the Poisson CDF at the cap is about 1/2, far
-    # below 1 - tail_mass, so the bound lies past the cap too: skip the walk.
-    if MAX_TABLE_TOTAL < mu_eff < math.inf:
-        bound = MAX_TABLE_TOTAL + 1
-    else:
-        bound = truncation_bound(mu_eff, policy)
-    if bound > MAX_TABLE_TOTAL:
+    bound = _capped_bound(mu_eff, policy, MAX_TABLE_TOTAL)
+    if bound is None:
         raise OverflowError(
             f"mean photon number {mu_eff:g} needs Fock tables above photon total "
             f"{MAX_TABLE_TOTAL}, the cap (fock.MAX_TABLE_TOTAL)"

@@ -38,10 +38,9 @@ from .fock import (
     SourceModel,
     TruncationPolicy,
     _binomial_row,
+    _capped_bound,
     _interfering_rows,
-    truncation_bound,
 )
-from .special import poisson_cdf
 
 _WORDS_PER_GATE = 8  # two Philox blocks of four 64-bit outputs each
 _BLOCKS_PER_GATE = 2
@@ -246,15 +245,15 @@ class _SamplerTables:
         # ``single``, two of mu / 2 otherwise. ROADMAP direction 8 removes it.
         single = cfg.source.label == "single"
         mean = cfg.mu if single else cfg.mu / 2.0
-        # An arm's table stops where truncation_bound does, so it fits under
-        # the cap exactly when the arm's share of the cap holds all but the tail.
+        # An arm's table stops at its truncation bound, which must fit in the
+        # arm's share of the cap, by the rule of output_joint_distribution.
         cap_arm = MAX_TABLE_TOTAL if single else MAX_TABLE_TOTAL // 2
-        if poisson_cdf(cap_arm, mean) < 1.0 - _ARM_TAIL:
+        max_arm_a = _capped_bound(mean, TruncationPolicy(_ARM_TAIL), cap_arm)
+        if max_arm_a is None:
             raise OverflowError(
                 f"mu {cfg.mu:g} needs splitter tables above photon total "
                 f"{MAX_TABLE_TOTAL}, the cap (fock.MAX_TABLE_TOTAL)"
             )
-        max_arm_a = truncation_bound(mean, TruncationPolicy(_ARM_TAIL))
         max_arm_b = 0 if single else max_arm_a
         terms = [math.exp(-mean)]
         for k in range(1, max_arm_a + 1):

@@ -93,7 +93,7 @@ class BitStream:
 
 
 # Elements per pass: outcome codes per slice in ``events_to_bits``, bits per
-# slice in ``von_neumann`` and ``stream_stats``. Each pass's temporaries stay
+# slice in ``von_neumann`` and ``ones_fraction``. Each pass's temporaries stay
 # near cache size, so no stage holds a full-length unpacked or widened array.
 _CHUNK = 1 << 16
 
@@ -159,23 +159,12 @@ def von_neumann(stream: BitStream) -> BitStream:
     return packer.stream(provenance)
 
 
-@dataclass(frozen=True)
-class StreamStats:
-    ones_fraction: float | None
-    extraction_efficiency: float | None
-
-
-def stream_stats(stream: BitStream) -> StreamStats:
-    """Exact counts; extraction efficiency is reported for debiased streams."""
+def ones_fraction(stream: BitStream) -> float | None:
+    """Exact share of ones in the stream; None for an empty stream."""
     ones = 0
     for chunk, n_bits in _byte_slices(stream):
         whole = n_bits // 8
         ones += int(np.bitwise_count(chunk[:whole]).sum())
         if n_bits % 8:
             ones += int(np.bitwise_count(chunk[whole] >> (8 - n_bits % 8)))
-    ones_fraction = ones / stream.length if stream.length else None
-    efficiency = None
-    raw = stream.provenance.get("raw_length")
-    if raw is not None and int(raw) > 0:
-        efficiency = stream.length / int(raw)
-    return StreamStats(ones_fraction, efficiency)
+    return ones / stream.length if stream.length else None

@@ -11,7 +11,6 @@ from bsqrng.detection import (
     DetectorPair,
     folding_equivalence_check,
     outcome_probabilities,
-    throughput,
 )
 from bsqrng.fock import SourceModel, TruncationPolicy, output_joint_distribution
 
@@ -227,18 +226,3 @@ class TestFoldingEquivalence:
             folding_equivalence_check(1.0, 0.0, SourceModel.single())
         with pytest.raises(ValueError):
             folding_equivalence_check(-1.0, 0.5, SourceModel.single())
-
-
-class TestThroughput:
-    def test_zero_rate_of_valid_bits(self):
-        assert throughput(0.0, 123456.0) == 0.0
-
-    def test_reference_rates(self):
-        assert throughput(0.66, 100_000.0) == pytest.approx(66_000.0)
-        assert throughput(0.50, 100_000.0) == pytest.approx(50_000.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            throughput(0.5, 0.0)
-        with pytest.raises(ValueError):
-            throughput(1.5, 100.0)

@@ -13,7 +13,6 @@ from bsqrng import fock
 from bsqrng.cli import SweepSpec, sweep
 from bsqrng.detection import coincidence_contrast
 from bsqrng.fock import (
-    MAX_INPUT_TOTAL,
     MAX_TABLE_TOTAL,
     SourceModel,
     TruncationPolicy,
@@ -231,7 +230,7 @@ class TestSplitterTransform:
         assert len(amp) == m + n + 1
 
     def test_rows_sum_to_one_at_every_total(self):
-        for total in range(MAX_INPUT_TOTAL + 1):
+        for total in range(MAX_TABLE_TOTAL + 1):
             for m in range(total + 1):
                 amp = bs_output_amplitudes((m, total - m))
                 assert abs(np.sum(np.abs(amp) ** 2) - 1.0) <= 1e-13, (m, total - m)
@@ -256,7 +255,7 @@ class TestSplitterTransform:
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
-            bs_output_amplitudes((MAX_INPUT_TOTAL, 1))
+            bs_output_amplitudes((MAX_TABLE_TOTAL, 1))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,17 @@ GOLDEN_GENERATE_ARGS = (
 )
 GOLDEN_GENERATE = "6d672a3bb291ccf8c723252475a8efa8436d67aed1c37fa7b3dd766472e17437"
 
+GOLDEN_RAW_GENERATE_ARGS = (
+    "generate", "--source", "mix:0.5", "--mu", "8", "--eta0", "0.6", "--eta1", "0.5",
+    "--gates", str(N_GATES), "--seed", str(SEED),
+)
+# SHA-256 of generate's stdout without its out= line: the tally, the throughput,
+# the bit counts, the ones fraction and (debiased) the extraction efficiency.
+GOLDEN_SUMMARIES = {
+    GOLDEN_GENERATE_ARGS: "3c93c020bdd2541336bb50acfffdf1e81274b5a789457e05c110814051262bfc",
+    GOLDEN_RAW_GENERATE_ARGS: "dbc183fc286cdd7243b8c83e45281d9f541235ad8d801bc61d91a0e4d23137bc",
+}
+
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -65,3 +76,11 @@ def test_generate_debias_bit_file_digest(tmp_path, capsys):
     assert main([*GOLDEN_GENERATE_ARGS, "--out", str(out)]) == 0
     capsys.readouterr()
     assert _digest(out.read_bytes()) == GOLDEN_GENERATE
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_SUMMARIES), ids=["debias", "raw-mix"])
+def test_generate_summary_digest(tmp_path, capsys, args):
+    assert main([*args, "--out", str(tmp_path / "golden.bsrb")]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    printed = "".join(line for line in lines if not line.startswith("out="))
+    assert _digest(printed.encode()) == GOLDEN_SUMMARIES[args]

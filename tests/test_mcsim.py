@@ -32,6 +32,7 @@ from bsqrng.mcsim import (
     gate_uniforms,
     run,
 )
+from bsqrng.special import poisson_cdf
 
 INDIST = SourceModel.indistinguishable_pair()
 SINGLE = SourceModel.single()
@@ -511,9 +512,9 @@ class TestRunInterface:
             run(make_cfg(mu=mu))
         assert f"mu {mu:g}" in str(info.value)
 
-    @pytest.mark.parametrize("source", [SINGLE, INDIST], ids=lambda s: s.label)
-    def test_photon_total_refusal_is_monotone_in_mu(self, monkeypatch, source):
-        import bsqrng.mcsim as mcsim
+    @pytest.fixture
+    def refuses(self, monkeypatch):
+        """Whether ``_SamplerTables`` refuses a mu, with no table built either way."""
 
         class Accepted(Exception):
             pass
@@ -522,17 +523,47 @@ class TestRunInterface:
             raise Accepted
 
         monkeypatch.setattr(mcsim, "_GuideTable", accepted)
-        refused = []
-        for mu in np.arange(100.0, 160.25, 0.5):
+
+        def refuses(mu, source):
             try:
                 _SamplerTables(make_cfg(mu=float(mu), source=source))
             except OverflowError:
-                refused.append(True)
+                return True
             except Accepted:
-                refused.append(False)
+                return False
+
+        return refuses
+
+    @pytest.mark.parametrize("source", [SINGLE, INDIST], ids=lambda s: s.label)
+    def test_photon_total_refusal_is_monotone_in_mu(self, refuses, source):
+        refused = [refuses(mu, source) for mu in np.arange(100.0, 160.25, 0.5)]
         # Once a mu is refused, every brighter one is refused too.
         assert refused == sorted(refused)
         assert not refused[0] and refused[-1]
+
+    @pytest.mark.parametrize(
+        "label, last_accepted",
+        [("single", 149.5), ("dist", 116.5), ("indist", 116.5), ("mix:0.5", 116.5)],
+    )
+    def test_photon_total_refusal_threshold(self, refuses, label, last_accepted):
+        # The README's thresholds on a 0.25 grid of mu.
+        source = SourceModel.from_label(label)
+        assert not refuses(last_accepted, source)
+        assert refuses(last_accepted + 0.25, source)
+
+    @pytest.mark.parametrize("source", [SINGLE, INDIST], ids=lambda s: s.label)
+    def test_photon_total_refusal_is_the_poisson_tail_rule(self, refuses, source):
+        # Refused exactly when the arm's share of the cap holds less than all
+        # but 1e-15 of the arm's Poisson law, around and past that share.
+        arms = 1 if source is SINGLE else 2
+        cap_arm = MAX_TABLE_TOTAL // arms
+        means = np.concatenate([
+            np.linspace(0.3 * cap_arm, 1.05 * cap_arm, 1000),
+            np.geomspace(1e-6, 1e4, 50),
+        ])
+        for mean in means:
+            expected = poisson_cdf(cap_arm, mean) < 1.0 - 1e-15
+            assert refuses(mean * arms, source) == expected, mean
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
