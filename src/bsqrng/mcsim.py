@@ -314,13 +314,6 @@ def _classify(cfg: SimConfig, words: np.ndarray, tables: _SamplerTables) -> np.n
     return codes
 
 
-def _simulate_range(
-    cfg: SimConfig, start: int, stop: int, tables: _SamplerTables
-) -> np.ndarray:
-    """Outcome codes for gates [start, stop); pure in (cfg, start, stop)."""
-    return _classify(cfg, gate_uniforms(cfg.seed, start, stop), tables)
-
-
 # A chunk's words take 0.5 MB at 2**13 gates. While the worker thread samples
 # one chunk the caller draws the next, so two chunks' words and one chunk's
 # temporaries are live at once. On a 2-CPU x86 box, four untraced 5 s

@@ -14,12 +14,17 @@ The battery evaluates a group of equal blocks at a time, held as one
 ``(k, n)`` bit array (``_Blocks``): each integer statistic is one row-wise
 array operation over the group, and each test then returns one p-value per
 block. A test given plain bits runs the same kernels on a group of one
-block. A group holds about ``_GROUP_BITS`` bits, and a ``BitStream`` is
-unpacked one group at a time, so memory is bounded by a group, not by the
-input. Cumulative sums reads the normal CDF only at the points the blocks
-need, evaluated for all blocks of a battery in one call. Every p-value is
-the same, bit for bit, as a block-by-block evaluation gives: float sums run
-over each row in the order a one-block sum would.
+block. Most statistics read the rows packed into bytes: ones and runs'
+transitions are popcounts (a row xor itself shifted by one bit marks each
+change), block frequency and longest run share the packed sub-blocks, and
+the longest run of each sub-block is read from a table of the longest run
+in every 16-bit pair of neighbouring bytes (``_longest_runs``). A group
+holds about ``_GROUP_BITS`` bits, and a ``BitStream`` is unpacked one group
+at a time, so memory is bounded by a group, not by the input. Cumulative
+sums reads the normal CDF only at the points the blocks need, evaluated for
+all blocks of a battery in one call. Every p-value is the same, bit for bit,
+as a block-by-block evaluation gives: float sums run over each row in the
+order a one-block sum would.
 """
 
 from __future__ import annotations
@@ -62,20 +67,31 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 _BYTE_WALK = np.cumsum(2 * _BYTE_BITS.T.astype(np.int32) - 1, axis=0, dtype=np.int32)
 _BYTE_WALK_MAX = np.maximum.accumulate(_BYTE_WALK, axis=0)
 _BYTE_WALK_MIN = np.minimum.accumulate(_BYTE_WALK, axis=0)
+# Ones before the byte's first zero and after its last zero.
+_BYTE_LEAD = np.cumprod(_BYTE_BITS, axis=1).sum(axis=1, dtype=np.uint8)
+_BYTE_TRAIL = np.cumprod(_BYTE_BITS[:, ::-1], axis=1).sum(axis=1, dtype=np.uint8)
 
 
-def _byte_run_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ones before the byte's first zero, ones after its last zero, and its longest 1-run."""
-    lead, trail, longest = (np.zeros(256, dtype=np.int32) for _ in range(3))
-    for value, bits in enumerate(_BYTE_BITS.tolist()):
-        text = "".join(map(str, bits))
-        lead[value] = len(text) - len(text.lstrip("1"))
-        trail[value] = len(text) - len(text.rstrip("1"))
-        longest[value] = max(map(len, text.split("0")))
-    return lead, trail, longest
+def _pair_longest_table() -> np.ndarray:
+    """The longest 1-run of every 16-bit value ``high << 8 | low``, as uint8.
+
+    ``value &= value << 1`` shortens every run of a byte by one bit, so a
+    byte's longest run is the number of steps that leave it nonzero. A run
+    of the pair lies in one byte, or is the high byte's trailing ones and
+    the low byte's leading ones.
+    """
+    value = np.arange(256)
+    longest = np.zeros(256, dtype=np.uint8)
+    for _ in range(8):
+        longest += value > 0
+        value &= value << 1
+    pair = np.add.outer(_BYTE_TRAIL, _BYTE_LEAD)
+    np.maximum(pair, longest[:, None], out=pair)
+    np.maximum(pair, longest[None, :], out=pair)
+    return pair.ravel()
 
 
-_BYTE_LEAD, _BYTE_TRAIL, _BYTE_LONGEST = _byte_run_tables()
+_PAIR_LONGEST = _pair_longest_table()
 
 
 class _Blocks:
@@ -85,7 +101,8 @@ class _Blocks:
     returns one p-value per block; given plain bits, a test checks them and
     builds a group of one block, and returns its p-value alone. Statistics
     are computed on first use, for every block of the group at once; the
-    ones and the walk are read from the rows packed into bytes.
+    ones and the walk are read from the rows packed into bytes, and the
+    sub-blocks of one length are packed once for every test that reads them.
 
     Counts of every length up to ``max_m`` come from the ``max_m``-bit
     counts: the circular (m-1)-bit pattern q occurs exactly as often as the
@@ -102,6 +119,7 @@ class _Blocks:
         self.k, self.n = rows.shape
         self.max_m = max_m
         self.cdf: np.ndarray | None = None
+        self._sub_blocks: dict[int, np.ndarray] = {}
 
     @functools.cached_property
     def packed(self) -> np.ndarray:
@@ -111,6 +129,24 @@ class _Blocks:
     @functools.cached_property
     def ones(self) -> np.ndarray:
         return np.bitwise_count(self.packed).sum(axis=1, dtype=np.int64)
+
+    def sub_blocks(self, length: int) -> np.ndarray:
+        """Each row's whole sub-blocks of ``length`` bits, each packed MSB first
+        and padded with zeros, byte j of every sub-block at ``[j]``: shape
+        ``(ceil(length / 8), k, n // length)``.
+
+        Byte-major, so that reducing over each sub-block's bytes combines a
+        few long rows elementwise instead of reducing many short ones.
+        """
+        if length not in self._sub_blocks:
+            n_sub = self.n // length
+            width = -(-length // 8)
+            bits = np.empty((self.k, n_sub, 8 * width), dtype=np.uint8)
+            bits[:, :, :length] = self.rows[:, : n_sub * length].reshape(self.k, n_sub, length)
+            bits[:, :, length:] = 0
+            packed = np.packbits(bits.reshape(-1)).reshape(self.k, n_sub, width)
+            self._sub_blocks[length] = np.ascontiguousarray(packed.transpose(2, 0, 1))
+        return self._sub_blocks[length]
 
     @functools.cached_property
     def excursions(self) -> dict[str, np.ndarray]:
@@ -154,6 +190,7 @@ class _Blocks:
         cumulative sums reads once the normal CDF is known."""
         for name in ("rows", "packed", "ones", "counts"):
             vars(self).pop(name, None)
+        self._sub_blocks.clear()
 
 
 def _blocks_of(bits, max_m: int = 1) -> _Blocks:
@@ -234,8 +271,8 @@ def block_frequency(bits, block_len: int = 128):
         raise InsufficientDataError(
             f"block frequency needs at least {block_len} bits, got {group.n}"
         )
-    whole = group.rows[:, : n_blocks * block_len].reshape(group.k, n_blocks, block_len)
-    proportions = np.count_nonzero(whole, axis=2) / block_len
+    ones = np.bitwise_count(group.sub_blocks(block_len)).sum(axis=0, dtype=np.int64)
+    proportions = ones / block_len
     chi_sq = 4.0 * block_len * ((proportions - 0.5) ** 2).sum(axis=1)
     return _per_block(
         bits, [gammainc_upper(n_blocks / 2.0, x / 2.0) for x in chi_sq.tolist()]
@@ -248,10 +285,8 @@ def runs(bits):
     n = group.n
     if n < 2:
         raise InsufficientDataError(f"runs needs at least 2 bits, got {n}")
-    rows = group.rows
-    changes = np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
     p_values = []
-    for ones, v in zip(group.ones.tolist(), (changes + 1).tolist()):
+    for ones, v in zip(group.ones.tolist(), (_changes(group.packed, n) + 1).tolist()):
         pi = ones / n
         if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
             p_values.append(0.0)  # frequency pre-test failed; runs statistic is meaningless
@@ -261,6 +296,17 @@ def runs(bits):
             / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi))
         ))
     return _per_block(bits, p_values)
+
+
+def _changes(packed: np.ndarray, n: int) -> np.ndarray:
+    """The number of i < n - 1 with bit i != bit i + 1 in each row of n bits,
+    packed MSB first."""
+    # bit i of t is bit i xor bit i + 1; the positions from n - 1 on are masked
+    t = packed << 1
+    t[:, :-1] |= packed[:, 1:] >> 7
+    t ^= packed
+    t[:, -1] &= (0xFF00 >> (n - 1 - 8 * (packed.shape[1] - 1))) & 0xFF
+    return np.bitwise_count(t).sum(axis=1, dtype=np.int64)
 
 
 # (block length M, category probabilities for longest run <=lo .. >=hi)
@@ -280,10 +326,9 @@ def longest_run_of_ones(bits):
     for threshold, block_len, low, pi_table in reversed(_LONGEST_RUN_TABLES):
         if n >= threshold:
             break
-    longest = _longest_runs(group.rows, block_len)
     n_cats = len(pi_table)
-    category = np.clip(longest, low, low + n_cats - 1) - low
-    category += n_cats * np.arange(group.k)[:, None]
+    longest = _longest_runs(group.sub_blocks(block_len), low + n_cats - 1)
+    category = np.maximum(longest, low) - low + n_cats * np.arange(group.k)[:, None]
     counts = np.bincount(category.ravel(), minlength=group.k * n_cats).reshape(group.k, n_cats)
     expected = longest.shape[1] * np.asarray(pi_table)
     chi_sq = ((counts - expected) ** 2 / expected).sum(axis=1)
@@ -292,32 +337,30 @@ def longest_run_of_ones(bits):
     )
 
 
-def _longest_runs(rows: np.ndarray, block_len: int) -> np.ndarray:
-    """Longest 1-run of each whole sub-block of ``block_len`` bits of each row:
-    shape ``(k, n // block_len)``."""
-    k, n = rows.shape
-    n_sub = n // block_len
-    sub_blocks = np.packbits(rows[:, : n_sub * block_len].reshape(k, n_sub, block_len), axis=2)
-    # The sub-blocks' bytes, each sub-block after a zero byte, and a zero byte
-    # at the end (packing pads a sub-block with zeros too). A run longer than
-    # its byte starts in a byte with a zero bit and ends in the next such
-    # byte, with only all-one bytes between; the zero bytes keep runs within
-    # their sub-blocks.
-    width = sub_blocks.shape[2] + 1
-    flat = np.zeros(k * n_sub * width + 1, dtype=np.uint8)
-    flat[:-1].reshape(k, n_sub, width)[:, :, 1:] = sub_blocks
-    broken = np.flatnonzero(flat != 0xFF)
-    across = np.diff(broken)
-    across -= 1
-    across *= 8
-    across += _BYTE_TRAIL[flat[broken[:-1]]]
-    across += _BYTE_LEAD[flat[broken[1:]]]
-    # a sub-block's byte pairs begin at its zero byte
-    first = np.searchsorted(broken, width * np.arange(k * n_sub))
-    longest = np.take(_BYTE_LONGEST, flat[:-1]).reshape(k * n_sub, width).max(axis=1, initial=0)
-    if n_sub:
-        np.maximum(longest, np.maximum.reduceat(across, first), out=longest)
-    return longest.reshape(k, n_sub)
+def _longest_runs(sub_blocks: np.ndarray, cap: int) -> np.ndarray:
+    """The longest 1-run of each packed sub-block, capped at ``cap`` (at most
+    16); ``sub_blocks`` holds byte j of every sub-block at ``[j]``, as
+    ``_Blocks.sub_blocks`` gives them: shape ``sub_blocks.shape[1:]``.
+
+    ``_PAIR_LONGEST`` gives the longest run of each pair of neighbouring
+    bytes. The pair that starts at a run's first byte holds the whole run if
+    it ends there, and at least 9 bits of it otherwise: enough for a cap up
+    to 9. A run that leaves that pair fills the byte after its first; the
+    trailing ones before that all-one byte, its 8 and the leading ones after
+    it give the run, or at least 16 bits of it.
+    """
+    pairs = sub_blocks.astype(np.uint16) << 8
+    pairs[:-1] |= sub_blocks[1:]
+    longest = np.take(_PAIR_LONGEST, pairs).max(axis=0)
+    if cap > 9:
+        # each sub-block a column, with a zero byte after its last
+        width = len(sub_blocks)
+        flat = np.zeros((width + 1, longest.size), dtype=np.uint8)
+        flat[:-1] = sub_blocks.reshape(width, -1)
+        j, column = np.nonzero(flat[1:-1] == 0xFF)
+        across = _BYTE_TRAIL[flat[j, column]] + 8 + _BYTE_LEAD[flat[j + 2, column]]
+        np.maximum.at(longest.reshape(-1), column, across)
+    return np.minimum(longest, cap)
 
 
 def cumulative_sums(bits, direction: str = "forward"):
@@ -524,30 +567,27 @@ class TestReport:
             fractions[name] = float(self.passed[rows].all(axis=0).mean())
         return fractions
 
-    def _rows(self):
-        """((block, component), p-value, pass flag) in report order, as Python values."""
-        keys = itertools.product(range(self.n_blocks), COMPONENTS)
-        return zip(keys, self.p_values.T.ravel().tolist(), self.passed.T.ravel().tolist())
+    def _rows(self, sep: str, p_text, flags: tuple[str, str]) -> str:
+        """A line per block and component, in report order: the component,
+        the block, ``p_text`` of the p-value and ``flags[passed]``, joined by
+        ``sep``."""
+        keys = [f"{test}{sep}{block}{sep}" for block in range(self.n_blocks) for test in COMPONENTS]
+        p_values = map(p_text, self.p_values.T.ravel().tolist())
+        ends = (f"{sep}{flags[0]}\n", f"{sep}{flags[1]}\n")
+        passed = map(ends.__getitem__, self.passed.T.ravel().tolist())
+        return "".join(itertools.chain.from_iterable(zip(keys, p_values, passed)))
 
     def to_csv(self) -> str:
-        lines = [_CSV_HEADER]
-        for (block, test), p_value, passed in self._rows():
-            lines.append(f"{test},{block},{p_value!r},{int(passed)}")
-        return "\n".join(lines) + "\n"
+        return f"{_CSV_HEADER}\n" + self._rows(",", repr, ("0", "1"))
 
     def to_text(self) -> str:
-        lines = [
+        header = (
             f"block_size={self.block_size} n_blocks={self.n_blocks} "
-            f"significance={self.significance:g}",
-        ]
-        for (block, test), p_value, passed in self._rows():
-            verdict = "pass" if passed else "FAIL"
-            lines.append(f"{test} {block} {p_value:.6f} {verdict}")
-        for name, frac in self.pass_fraction().items():
-            lines.append(f"pass_fraction {name} {frac:.3f}")
-        for name in NOT_RUN:
-            lines.append(f"{name} not_run")
-        return "\n".join(lines) + "\n"
+            f"significance={self.significance:g}\n"
+        )
+        lines = [f"pass_fraction {name} {frac:.3f}" for name, frac in self.pass_fraction().items()]
+        lines += [f"{name} not_run" for name in NOT_RUN]
+        return header + self._rows(" ", "{:.6f}".format, ("FAIL", "pass")) + "\n".join(lines) + "\n"
 
 
 def _groups(stream: BitStream, block_size: int, n_blocks: int):
@@ -642,10 +682,12 @@ def parse_report_csv(text: str) -> TestReport:
     if not results:
         raise ValueError("battery report CSV holds no result rows")
     n_blocks = max(blk for _, blk in results) + 1
-    for blk in range(n_blocks):
-        for name in COMPONENTS:
-            if (name, blk) not in results:
-                raise ValueError(f"battery report CSV: no row for {name} block {blk}")
-    # (p-value, pass flag) of each component and block
-    table = np.array([[results[name, blk] for blk in range(n_blocks)] for name in COMPONENTS])
-    return TestReport(0, 0.01, table[..., 0], table[..., 1] == 1.0)
+    # the rows are distinct and in range, so a full count means no row is missing
+    if len(results) < len(COMPONENTS) * n_blocks:
+        for blk in range(n_blocks):
+            for name in COMPONENTS:
+                if (name, blk) not in results:
+                    raise ValueError(f"battery report CSV: no row for {name} block {blk}")
+    p_values, passed = zip(*[results[name, blk] for name in COMPONENTS for blk in range(n_blocks)])
+    shape = (len(COMPONENTS), n_blocks)
+    return TestReport(0, 0.01, np.reshape(p_values, shape), np.reshape(passed, shape))

@@ -109,8 +109,8 @@ def _gamma_series(a: float, x: float) -> float:
     for _ in range(_MAX_ITER + 16 * math.ceil(math.sqrt(a))):
         ap += 1.0
         term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
+        total += term  # every term is positive
+        if term < total * _EPS:
             break
     else:
         raise ArithmeticError(f"incomplete gamma series did not converge at a={a}, x={x}")

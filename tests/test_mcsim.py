@@ -27,7 +27,6 @@ from bsqrng.mcsim import (
     _GuideTable,
     _SamplerTables,
     _classify,
-    _simulate_range,
     _thresholds,
     gate_uniforms,
     run,
@@ -82,10 +81,11 @@ class TestDeterminism:
         k = data.draw(st.integers(1, n - 1))
         cfg = make_cfg(n_gates=n)
         tables = _SamplerTables(cfg)
-        serial = _simulate_range(cfg, 0, n, tables)
-        merged = np.concatenate(
-            [_simulate_range(cfg, 0, k, tables), _simulate_range(cfg, k, n, tables)]
-        )
+        serial = _classify(cfg, gate_uniforms(cfg.seed, 0, n), tables)
+        merged = np.concatenate([
+            _classify(cfg, gate_uniforms(cfg.seed, 0, k), tables),
+            _classify(cfg, gate_uniforms(cfg.seed, k, n), tables),
+        ])
         assert np.array_equal(serial, merged)
 
     @pytest.mark.parametrize("label", ["single", "indist", "dist", "mix:0.5"])
@@ -95,7 +95,7 @@ class TestDeterminism:
     def test_pipelined_run_matches_serial(self, label, chunk_gates, n_gates):
         cfg = make_cfg(n_gates=n_gates, source=SourceModel.from_label(label))
         tally, outcomes = run(cfg, chunk_gates=chunk_gates)
-        serial = _simulate_range(cfg, 0, n_gates, _SamplerTables(cfg))
+        serial = _classify(cfg, gate_uniforms(cfg.seed, 0, n_gates), _SamplerTables(cfg))
         assert outcomes.tobytes() == serial.tobytes()
         assert tally == EventTally.from_counts(np.bincount(serial, minlength=len(Outcome)))
 

@@ -19,6 +19,7 @@ from bsqrng.randtests import (
     _as_bits,
     _Blocks,
     _cdf_reach,
+    _changes,
     _longest_runs,
     _normal_cdf_at,
     _pattern_counts,
@@ -221,22 +222,45 @@ def loop_pattern_counts(bits, m):
     return counts
 
 
-class TestVectorizedKernels:
-    @given(run_lengths, st.booleans(), st.integers(1, 24))
-    @example([8, 8], True, 8)  # two all-one sub-blocks must not merge into 16
-    @example([4, 12, 8], True, 8)  # an all-zero sub-block between two others
-    @example([13, 6, 1], True, 8)  # a run crossing an edge, then a partial tail
-    @example([20], True, 24)  # a run across all-one bytes of one sub-block
-    def test_longest_runs_match_loop(self, lengths, first_bit, block_len):
-        bits = np.concatenate([
-            np.full(length, (i % 2 == 0) == first_bit, dtype=np.uint8)
-            for i, length in enumerate(lengths)
-        ])
-        longest = _longest_runs(bits[None, :], block_len)
-        assert longest.tolist() == [loop_longest_runs(bits, block_len)]
+def loop_changes(bits):
+    """Neighbours that differ, one pair at a time."""
+    return sum(int(a != b) for a, b in zip(bits[:-1], bits[1:]))
 
-    @given(st.lists(run_lengths, min_size=1, max_size=4), st.integers(1, 24))
-    def test_longest_runs_row_by_row(self, rows_of_runs, block_len):
+
+def alternating_runs(lengths, first_bit):
+    return np.concatenate([
+        np.full(length, (i % 2 == 0) == first_bit, dtype=np.uint8)
+        for i, length in enumerate(lengths)
+    ])
+
+
+def longest_runs(rows, block_len, cap):
+    return _longest_runs(_Blocks(rows, 1).sub_blocks(block_len), cap)
+
+
+class TestVectorizedKernels:
+    # sub-blocks of every length mod 8 and up to 11 bytes; runs of up to 40
+    # bits, a chain of 0xFF bytes, after a first run that sets their offset
+    @given(run_lengths, st.booleans(), st.integers(1, 88), st.sampled_from([4, 9, 16]))
+    @example([8, 8], True, 8, 16)  # two all-one sub-blocks must not merge into 16
+    @example([4, 12, 8], True, 8, 16)  # an all-zero sub-block between two others
+    @example([13, 6, 1], True, 8, 16)  # a run crossing an edge, then a partial tail
+    @example([20], True, 24, 16)  # a run across all-one bytes of one sub-block
+    @example([7, 10], False, 24, 16)  # 1 + 8 + 1 bits: across a whole byte
+    @example([1, 15], False, 24, 16)  # 7 + 8 bits, ending at a byte edge
+    @example([1, 16], False, 24, 16)  # 7 + 8 + 1 bits
+    @example([3, 17], False, 32, 16)  # 5 + 8 + 4 bits
+    @example([5, 40, 1, 30], False, 88, 16)  # 3 + 8 * 4 + 5 bits, then a 30-bit run
+    @example([64], True, 64, 9)  # eight 0xFF bytes, a sub-block of ones
+    @example([7, 9], False, 16, 9)  # 1 + 8 bits, ending at the sub-block's end
+    def test_longest_runs_match_loop(self, lengths, first_bit, block_len, cap):
+        bits = alternating_runs(lengths, first_bit)
+        longest = longest_runs(bits[None, :], block_len, cap)
+        assert longest.tolist() == [[min(x, cap) for x in loop_longest_runs(bits, block_len)]]
+
+    @given(st.lists(run_lengths, min_size=1, max_size=4), st.integers(1, 24),
+           st.sampled_from([4, 9, 16]))
+    def test_longest_runs_row_by_row(self, rows_of_runs, block_len, cap):
         # rows of one length, each padded with zeros: every row as if alone
         rows = [np.concatenate([np.full(n, i % 2, dtype=np.uint8) for i, n in enumerate(r)])
                 for r in rows_of_runs]
@@ -244,8 +268,28 @@ class TestVectorizedKernels:
         group = np.zeros((len(rows), width), dtype=np.uint8)
         for row, bits in zip(group, rows):
             row[: len(bits)] = bits
-        expected = [loop_longest_runs(row, block_len) for row in group]
-        assert _longest_runs(group, block_len).tolist() == expected
+        expected = [[min(x, cap) for x in loop_longest_runs(row, block_len)] for row in group]
+        assert longest_runs(group, block_len, cap).tolist() == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 90),
+           st.sampled_from([0.5, 0.1, 0.9, 0.0, 1.0]))
+    def test_changes_match_loop(self, seed, k, n, p_one):
+        # every n % 8, several rows, and constant rows
+        rows = (np.random.default_rng(seed).random((k, n)) < p_one).astype(np.uint8)
+        changes = _changes(_Blocks(rows, 1).packed, n)
+        assert changes.tolist() == [loop_changes(row.tolist()) for row in rows]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 90),
+           st.integers(1, 40), st.sampled_from([0.5, 0.1, 0.9, 0.0, 1.0]))
+    def test_sub_block_ones_match_loop(self, seed, k, n, block_len, p_one):
+        # every n % 8 and block_len % 8; the ones that block frequency reads
+        rows = (np.random.default_rng(seed).random((k, n)) < p_one).astype(np.uint8)
+        ones = np.bitwise_count(_Blocks(rows, 1).sub_blocks(block_len)).sum(axis=0)
+        expected = [
+            [sum(row[j : j + block_len].tolist()) for j in range(0, n - block_len + 1, block_len)]
+            for row in rows
+        ]
+        assert ones.tolist() == expected
 
     @given(st.integers(0, 2**32 - 1), st.integers(5, 400))
     def test_derived_pattern_counts_match_direct(self, seed, n):
