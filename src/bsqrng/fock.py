@@ -28,7 +28,7 @@ _LN2 = math.log(2.0)
 #: ``bs_output_amplitudes``, the truncation bound of
 #: ``output_joint_distribution`` and the simulator's splitter tables alike.
 #: It bounds cost, not precision: the exact Krawtchouk rows are built total by
-#: total from big integers, and the splitter tables take about total^3 / 4
+#: total in integers, and the splitter tables take about total^3 / 4
 #: floats per branch. A mean is refused up front when its truncation bound
 #: passes its share of the cap (``_capped_bound``): the whole cap for an
 #: analytic table or a single arm, half of it for each arm of a pair. At the
@@ -176,9 +176,13 @@ def _log_factorials(n: int) -> np.ndarray:
 
 _krawtchouk_last: list[tuple[int, np.ndarray]] = []  # the last total built
 
+# Largest total whose Krawtchouk coefficients and products fit int64 exactly.
+_INT64_TOTAL = 62
+
 
 def _krawtchouk_rows(total: int) -> np.ndarray:
-    """Integer splitter coefficients of one input total, as Python ints.
+    """Integer splitter coefficients of one input total, as int64 up to total
+    62 (``_INT64_TOTAL``) and as Python ints above.
 
     Entry [m, M] is the x^M coefficient K of (1 - x)^m (1 + x)^(total - m),
     the Krawtchouk polynomial of the splitter's Fock transform (Campos, Saleh
@@ -186,14 +190,17 @@ def _krawtchouk_rows(total: int) -> np.ndarray:
     the total below and row m >= 1 is (1 - x) times its row m - 1. Only the
     last total is kept, as callers walk totals upwards; a new total is built
     in a loop from it, or from total 0 when it lies above the one asked for.
+    Every coefficient and partial sum is at most 2^total in magnitude.
     """
     if _krawtchouk_last and _krawtchouk_last[0][0] <= total:
         t, rows = _krawtchouk_last[0]
     else:
-        t, rows = 0, np.ones((1, 1), dtype=object)
+        t, rows = 0, np.ones((1, 1), dtype=np.int64)
     while t < total:
+        if t == _INT64_TOTAL:
+            rows = rows.astype(object)
         t, below = t + 1, rows
-        rows = np.zeros((t + 1, t + 1), dtype=object)
+        rows = np.zeros((t + 1, t + 1), dtype=below.dtype)
         rows[0, :-1] = below[0]
         rows[0, 1:] += below[0]
         rows[1:, :-1] = below
@@ -206,10 +213,6 @@ def _krawtchouk_rows(total: int) -> np.ndarray:
 _krawtchouk_rows.cache_clear = _krawtchouk_last.clear
 
 
-# Largest total whose Krawtchouk products fit int64 exactly.
-_INT64_TOTAL = 62
-
-
 @lru_cache(maxsize=None)
 def _interfering_rows(total: int) -> np.ndarray:
     """Interfering splitter rows of one input total, read-only.
@@ -218,17 +221,12 @@ def _interfering_rows(total: int) -> np.ndarray:
     (m, total - m): |<M, total - M|m, total - m>|^2 =
     C(total, m) K^2 / (C(total, M) 2^total). By the duality
     C(total, m) K[m, M] = C(total, M) K[M, m] that is K[m, M] K[M, m] / 2^total,
-    and one int-by-int true division rounds it correctly. Up to total 62 the
-    product is taken in int64: |K| and |K[m, M] K[M, m]| = p 2^total are at
-    most 2^total < 2^63, the conversion to float rounds once and the division
-    by a power of two is exact, which is the same correctly rounded quotient.
+    one correctly rounded quotient: above total 62 an int-by-int true division,
+    and up to 62 an exact int64 product, as |K[m, M] K[M, m]| = p 2^total < 2^63,
+    whose conversion to float rounds once and whose division by 2^total is exact.
     """
     k = _krawtchouk_rows(total)
-    if total <= _INT64_TOTAL:
-        k = k.astype(np.int64)
-        rows = (k * k.T) / float(1 << total)
-    else:
-        rows = ((k * k.T) / (1 << total)).astype(float)
+    rows = np.asarray((k * k.T) / (1 << total), dtype=float)
     rows.setflags(write=False)
     return rows
 

@@ -22,9 +22,10 @@ in every 16-bit pair of neighbouring bytes (``_longest_runs``). A group
 holds about ``_GROUP_BITS`` bits, and a ``BitStream`` is unpacked one group
 at a time, so memory is bounded by a group, not by the input. Cumulative
 sums reads the normal CDF only at the points the blocks need, evaluated for
-all blocks of a battery in one call. Every p-value is the same, bit for bit,
-as a block-by-block evaluation gives: float sums run over each row in the
-order a one-block sum would.
+all blocks of a battery in one call, once per |p|: at -|p|, with +|p| its
+reflection. Every p-value is the same, bit for bit, as a block-by-block
+evaluation gives: float sums run over each row in the order a one-block sum
+would.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class _Blocks:
     Both cumulative-sums excursions come from one +-1 walk S_0 = 0, ...,
     S_n = end with extremes ``hi`` and ``lo``: the backward walk's partial
     sums are ``end - S_i``, so its excursion is ``max(end - lo, hi - end)``.
-    ``cdf`` is the normal-CDF table those tests read (``_normal_cdf_at``).
+    ``cdf`` is the normal-CDF table those tests read (``_cusum_cdf``).
     """
 
     def __init__(self, rows: np.ndarray, max_m: int):
@@ -373,7 +374,7 @@ def cumulative_sums(bits, direction: str = "forward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
     if group.cdf is None:
         excursions = np.concatenate(tuple(group.excursions.values()))
-        group.cdf = _normal_cdf_at(n, _cusum_points(n, excursions))
+        group.cdf = _cusum_cdf(n, excursions)
     z = group.excursions[direction]
     # Each row's terms are padded to the longest row's, the one of least z:
     # a few rows at a time keep them near a group's size.
@@ -402,25 +403,11 @@ def _cusum_totals(n: int, z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     # own sums is a difference of equal values, a zero that leaves the
     # running sum as it is. cumsum adds each row's terms one after another.
     j = np.minimum(2 * np.arange(4 * int(top.max()) + 4) - last, last)
-    phi = cdf[np.clip(j * z[:, None], -reach - 1, reach + 1) + reach + 1]
+    phi = cdf.take(j * z[:, None] + (reach + 1), mode="clip")
     first = -(phi[:, 2::2] - phi[:, 1:-1:2])
     second = phi[:, 1::2] - phi[:, 0::2]
     terms = np.concatenate((np.ones((len(z), 1)), first, second), axis=1)
     return np.cumsum(terms, axis=1)[:, -1]
-
-
-def _cusum_points(n: int, z: np.ndarray) -> np.ndarray:
-    """Every point p = j z, j odd, that the cumulative sums of blocks of n
-    bits with excursions ``z`` read, within the reach of ``_normal_cdf_at``."""
-    reach = _cdf_reach(n)
-    z = np.sort(z)
-    z = z[np.diff(z, prepend=0) > 0]  # each excursion once; every z >= 1
-    limit = np.minimum(4 * ((n // z - 1) // 4) + 3, reach // z)
-    # the odd j in [-limit, limit] are +-(2 i + 1) for i < half
-    half = (limit + 1) // 2
-    i = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
-    p = (2 * i + 1) * np.repeat(z, half)
-    return np.concatenate((-p, p))
 
 
 def _cdf_reach(n: int) -> int:
@@ -431,19 +418,31 @@ def _cdf_reach(n: int) -> int:
     return reach
 
 
-def _normal_cdf_at(n: int, points: np.ndarray) -> np.ndarray:
-    """Table of ``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for the integer
-    ``points`` p, each evaluated once in one array call; NaN at every other p.
+def _cusum_cdf(n: int, z: np.ndarray) -> np.ndarray:
+    """Table of ``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for every p = j z,
+    j odd, |p| <= reach, that cumulative sums reads on n bits with excursions
+    ``z``; NaN at every other p, and 0.0 and 1.0 at the ends for |p| > reach.
 
-    The two end entries 0.0 and 1.0 stand for every ``|p| > reach``.
+    One array call evaluates each |p| once, at -|p|; +|p| gets 1.0 minus that,
+    the same double: for x > 0, normal_cdf(x) = 0.5 (2 - e) and normal_cdf(-x)
+    = 0.5 e with e = erfc(x / sqrt(2)) <= 1, and halving is exact and keeps the
+    rounding grid, so 0.5 (2 - e) and 1 - 0.5 e round alike.
     """
     reach = _cdf_reach(n)
+    z = np.sort(z)
+    z = z[np.diff(z, prepend=0) > 0]  # each excursion once; every z >= 1
+    limit = np.minimum(4 * ((n // z - 1) // 4) + 3, reach // z)
+    # the odd j in [1, limit] are 2 i + 1 for i < half
+    half = (limit + 1) // 2
+    i = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
+    asked = np.zeros(reach + 1, dtype=bool)
+    asked[(2 * i + 1) * np.repeat(z, half)] = True
+    p = np.flatnonzero(asked)
+    low = normal_cdf(-p / math.sqrt(n))
     table = np.full(2 * reach + 3, np.nan)
     table[0], table[-1] = 0.0, 1.0
-    asked = np.zeros(len(table), dtype=bool)
-    asked[points[np.abs(points) <= reach] + reach + 1] = True
-    where = np.flatnonzero(asked)
-    table[where] = normal_cdf((where - reach - 1) / math.sqrt(n))
+    table[reach + 1 - p] = low
+    table[reach + 1 + p] = 1.0 - low
     return table
 
 
@@ -642,7 +641,7 @@ def run_battery(
         excursions.extend(group.excursions.values())
         group.drop_bits()
         groups.append(group)
-    cdf = _normal_cdf_at(block_size, _cusum_points(block_size, np.concatenate(excursions)))
+    cdf = _cusum_cdf(block_size, np.concatenate(excursions))
     for group in groups:
         group.cdf = cdf
         p_values["cumulative_sums_forward"] += cumulative_sums(group, "forward")

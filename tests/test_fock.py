@@ -1,5 +1,6 @@
 """Photon statistics of the splitter: transform, distributions, contrast."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -38,6 +39,20 @@ def poisson_pmf(mean, k):
 
 
 SCAN_TAILS = (1e-3, 1e-9, 1e-12, 1e-15)
+
+
+@functools.lru_cache(maxsize=1)
+def python_int_walk(top):
+    """Krawtchouk rows of every total up to ``top``, walked in lists of Python
+    ints: row 0 times (1 + x), every row times (1 - x)."""
+    rows = [[1]]
+    walk = [rows]
+    for _ in range(top):
+        shifted = [(row + [0], [0] + row) for row in rows]
+        rows = [[a + b for a, b in zip(*shifted[0])]]
+        rows += [[a - b for a, b in zip(*pair)] for pair in shifted]
+        walk.append(rows)
+    return walk
 
 
 def scan_from_zero(mu, tail):
@@ -246,12 +261,32 @@ class TestSplitterTransform:
         assert np.abs(amp - phases * np.sqrt(row)).max() <= 1e-15
 
     def test_int64_rows_equal_the_big_integer_quotient(self):
-        # Totals up to 62 multiply in int64, above in Python ints.
+        # Totals up to 62 multiply in int64, above in Python ints; the
+        # quotient here divides Python ints at every total.
         for total in range(71):
-            k = _krawtchouk_rows(total)
+            k = _krawtchouk_rows(total).astype(object)
             exact = ((k * k.T) / (1 << total)).astype(float)
             assert np.array_equal(_interfering_rows(total), exact), total
         assert max(abs(v) for v in _krawtchouk_rows(62).ravel()) < 2**62
+
+    def test_krawtchouk_walk_turns_to_python_ints_after_62(self):
+        _krawtchouk_rows.cache_clear()
+        for total in range(71):
+            rows = _krawtchouk_rows(total)
+            if total <= 62:
+                assert rows.dtype == np.int64, total
+            else:
+                assert rows.dtype == object, total
+                assert {type(v) for v in rows.ravel()} == {int}, total
+            assert rows.tolist() == python_int_walk(70)[total], total
+
+    @pytest.mark.parametrize(
+        "totals", [(50, 70), (70,), (70, 10, 64)], ids=["across", "cold", "restart"]
+    )
+    def test_krawtchouk_walk_across_the_switch(self, totals):
+        _krawtchouk_rows.cache_clear()
+        for total in totals:
+            assert _krawtchouk_rows(total).tolist() == python_int_walk(70)[total], total
 
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):

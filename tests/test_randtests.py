@@ -1,6 +1,7 @@
 """Statistical tests: worked examples, properties, battery plumbing."""
 
 import math
+import random
 import tracemalloc
 from unittest import mock
 
@@ -20,8 +21,8 @@ from bsqrng.randtests import (
     _Blocks,
     _cdf_reach,
     _changes,
+    _cusum_cdf,
     _longest_runs,
-    _normal_cdf_at,
     _pattern_counts,
     approximate_entropy,
     block_frequency,
@@ -353,19 +354,51 @@ class TestCumulativeSumsKernels:
             assert excursions[direction].tolist() == expected, direction
 
     @given(st.integers(2, 10**7))
-    def test_normal_cdf_at_edges(self, n):
+    def test_cusum_cdf_at_edges(self, n):
         reach = _cdf_reach(n)
-        edges = [-reach - 1, -reach, -1, 0, 1, reach, reach + 1]
-        table = _normal_cdf_at(n, np.array(edges))
+        # excursion 1 reads the odd points out to 4 ((n - 1) // 4) + 3 within
+        # the reach; excursion reach reads +-reach once a block is that long
+        table = _cusum_cdf(n, np.array([1, reach]))
         assert len(table) == 2 * reach + 3
         sqrt_n = math.sqrt(n)
+        edges = [-reach - 1, -1, 1, reach + 1] + ([-reach, reach] if n >= reach else [])
         for p in edges:
             assert table[p + reach + 1].hex() == normal_cdf(p / sqrt_n).hex(), p
         # every |p| beyond reach reads the end entries: exactly 0.0 and 1.0
+        assert (table[0], table[-1]) == (0.0, 1.0)
         assert normal_cdf(-(reach + 1) / sqrt_n) == 0.0
         assert normal_cdf((reach + 1) / sqrt_n) == 1.0
         # and no point that was not asked for is evaluated
-        assert np.isnan(table).sum() == len(table) - len(edges)
+        odd = range(1, min(4 * ((n - 1) // 4) + 3, reach) + 1, 2)
+        asked = {*odd, *(-j for j in odd), *edges}
+        assert (np.flatnonzero(~np.isnan(table)) - reach - 1).tolist() == sorted(asked)
+
+    @given(
+        st.integers(2, 10**6).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), max_size=4))
+        )
+    )
+    @example((2, [2]))
+    @example((20_000, [48, 201, 201, 562]))
+    def test_cusum_cdf_holds_exactly_the_points_read(self, case):
+        n, others = case
+        z = [1, *others]
+        reach = _cdf_reach(n)
+        table = _cusum_cdf(n, np.array(z))
+        expected = {-reach - 1, reach + 1}
+        for step in set(z):
+            last = 4 * ((n // step - 1) // 4) + 3
+            expected.update(
+                j * step for j in range(-last, last + 1, 2) if abs(j * step) <= reach
+            )
+        points = (np.flatnonzero(~np.isnan(table)) - reach - 1).tolist()
+        assert points == sorted(expected)
+        # each entry is the scalar normal CDF, bit for bit, at both signs
+        sqrt_n = math.sqrt(n)
+        magnitudes = sorted({abs(p) for p in points})
+        for p in random.Random(n).sample(magnitudes, min(len(magnitudes), 48)):
+            for signed in (-p, p):
+                assert table[signed + reach + 1].hex() == normal_cdf(signed / sqrt_n).hex(), signed
 
 
 class TestPreconditions:
