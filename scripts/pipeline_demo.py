@@ -23,7 +23,8 @@ def main() -> int:
         source=SourceModel.indistinguishable_pair(),
     )
     tally, outcomes = run(cfg)
-    print(tally.to_text(), end="")
+    for key, value in tally.summary().items():
+        print(f"{key}={value}")
     print(f"raw_throughput_bits_per_s={tally.p_gen * cfg.gate_rate:.6g}")
 
     raw = events_to_bits(outcomes, {"seed": str(seed), "mu": "2.1", "source": "indist"})

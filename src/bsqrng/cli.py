@@ -3,7 +3,7 @@
 Configuration precedence: command-line flags override the optional key=value
 configuration file (path from --config or the BSQRNG_CONFIG environment
 variable), which overrides built-in defaults. Exit codes: 0 success,
-1 validation error, 2 runtime or numeric error, 3 I/O error.
+1 validation error, 2 runtime or numeric error or out of memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -438,6 +438,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(1, str(exc))
     except (ArithmeticError, RuntimeError) as exc:
         return _fail(2, str(exc))
+    except MemoryError as exc:
+        return _fail(2, str(exc) or "out of memory")
     except OSError as exc:
         return _fail(3, str(exc))
 

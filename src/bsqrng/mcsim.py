@@ -146,9 +146,6 @@ class EventTally:
             "p_disc_stderr": f"{self.p_disc_stderr():.9g}",
         }
 
-    def to_text(self) -> str:
-        return "".join(f"{key}={value}\n" for key, value in self.summary().items())
-
 
 def gate_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     """Raw uint64 words of gates [start, stop), shape (stop-start, 8).

@@ -13,9 +13,10 @@ pinned at shape 390 625 and 1e-9 at mean 1e5.
 
 All take scalars. ``normal_cdf`` also takes a float array and then returns
 the scalar function's value for every element, bit for bit: the array form
-runs the same series and continued-fraction steps in the same order, each
-element until its own stopping test holds, and calls ``math.exp`` per
-element, because ``np.exp`` need not round as ``math.exp`` does.
+runs the same series and continued-fraction steps in the same order on
+every element in place, a boolean mask ending each element's updates at its
+own stopping test, and calls ``math.exp`` per element, because ``np.exp``
+need not round as ``math.exp`` does.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ def erfc(x: float) -> float:
 def _erf_series(x: float) -> float:
     # erf(x) = 2x e^{-x^2}/sqrt(pi) * sum_k (2x^2)^k / (1*3*...*(2k+1));
     # all terms positive, no cancellation.
-    if x == 0.0:
-        return 0.0
     t = 2.0 * x * x
     term = 1.0
     total = 1.0
@@ -64,19 +63,15 @@ def _erf_series(x: float) -> float:
 
 
 def _erfc_continued_fraction(x: float) -> float:
-    # sqrt(pi) e^{x^2} erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
+    # sqrt(pi) e^{x^2} erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))).
+    # Lentz's method without zero guards: for 2 <= x <= 27, d and c stay positive.
     f = x
     c = x
     d = 0.0
     for k in range(1, _MAX_ITER):
         a = 0.5 * k
-        d = x + a * d
-        if d == 0.0:
-            d = _TINY
+        d = 1.0 / (x + a * d)
         c = x + a / c
-        if c == 0.0:
-            c = _TINY
-        d = 1.0 / d
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < _EPS:
@@ -163,50 +158,34 @@ def _erfc_array(x: np.ndarray) -> np.ndarray:
 
 
 def _erf_series_array(x: np.ndarray) -> np.ndarray:
-    # _erf_series on every element. The loop works on the live elements
-    # only; each one leaves, with its total, at its own stopping test.
+    # _erf_series on every element, in place: ``live`` ends an element's
+    # updates to its total at its own stopping test.
     t = 2.0 * x * x
-    total = np.empty_like(x)
-    live = np.arange(x.size)
-    t_live, term, partial = t, np.ones_like(x), np.ones_like(x)
+    term, total = np.ones_like(x), np.ones_like(x)
+    live = np.ones(x.shape, dtype=bool)
     for k in range(1, _MAX_ITER):
-        if live.size == 0:
+        term *= t / (2 * k + 1)
+        np.add(total, term, out=total, where=live)
+        live &= term >= total * _EPS
+        if not live.any():
             break
-        term *= t_live / (2 * k + 1)
-        partial += term
-        done = term < partial * _EPS
-        if done.any():
-            total[live[done]] = partial[done]
-            keep = ~done
-            live, t_live, term, partial = live[keep], t_live[keep], term[keep], partial[keep]
-    total[live] = partial
-    out = 2.0 * x * _exp(-x * x) * total / _SQRT_PI
-    out[x == 0.0] = 0.0
-    return out
+    return 2.0 * x * _exp(-x * x) * total / _SQRT_PI
 
 
 def _erfc_continued_fraction_array(x: np.ndarray) -> np.ndarray:
-    # _erfc_continued_fraction on every element, live elements only, as above.
-    f = np.empty_like(x)
-    live = np.arange(x.size)
-    x_live, f_live, c, d = x, x.copy(), x.copy(), np.zeros_like(x)
+    # _erfc_continued_fraction on every element, in place: ``live`` ends an
+    # element's updates to f at its own stopping test.
+    f, c, d = x.copy(), x.copy(), np.zeros_like(x)
+    live = np.ones(x.shape, dtype=bool)
     for k in range(1, _MAX_ITER):
-        if live.size == 0:
-            break
         a = 0.5 * k
-        d = x_live + a * d
-        d[d == 0.0] = _TINY
-        c = x_live + a / c
-        c[c == 0.0] = _TINY
-        d = 1.0 / d
+        d = 1.0 / (x + a * d)
+        c = x + a / c
         delta = c * d
-        f_live *= delta
-        done = np.abs(delta - 1.0) < _EPS
-        if done.any():
-            f[live[done]] = f_live[done]
-            keep = ~done
-            live, x_live, f_live, c, d = live[keep], x_live[keep], f_live[keep], c[keep], d[keep]
-    f[live] = f_live
+        np.multiply(f, delta, out=f, where=live)
+        live &= np.abs(delta - 1.0) >= _EPS
+        if not live.any():
+            break
     return _exp(-x * x) / (f * _SQRT_PI)
 
 

@@ -153,6 +153,24 @@ class TestSweep:
         assert code == 1 and out == ""
         assert "finite mu_eta_min < mu_eta_max" in err and "inf" in err
 
+    def test_grid_too_large_to_allocate_exits_2(self, capsys):
+        # 10^15 float64 grid points (7 PiB): the allocation fails before any
+        # page is touched.
+        code, out, err = run_cli(
+            capsys, "sweep", "--mu-eta-min", "1", "--mu-eta-max", "2",
+            "--points", "1000000000000000",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "allocate" in err
+
+    def test_memory_error_without_message_exits_2(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(bsqrng.cli._COMMANDS, "sweep", exhausted)
+        code, out, err = run_cli(capsys, "sweep")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(1.0, 2.0, points=1)

@@ -269,6 +269,13 @@ class TestSplitterTransform:
             assert np.array_equal(_interfering_rows(total), exact), total
         assert max(abs(v) for v in _krawtchouk_rows(62).ravel()) < 2**62
 
+    def test_binomial_row_is_the_interfering_row_of_one_occupied_input(self):
+        # The input (0, t) sends each photon either way on its own, so the
+        # routed (no-interference) law is its interfering row; int64 rows up
+        # to 62, Python ints above.
+        for total in range(101):
+            assert np.array_equal(_binomial_row(total), _interfering_rows(total)[0]), total
+
     def test_krawtchouk_walk_turns_to_python_ints_after_62(self):
         _krawtchouk_rows.cache_clear()
         for total in range(71):

@@ -190,9 +190,9 @@ class TestTally:
 
     def test_text_summary(self):
         tally, _ = run(make_cfg(n_gates=100))
-        text = tally.to_text()
-        assert "n_gates=100" in text
-        assert "p_gen=" in text and "p_disc_stderr=" in text
+        summary = tally.summary()
+        assert summary["n_gates"] == "100"
+        assert "p_gen" in summary and "p_disc_stderr" in summary
 
 
 DYADIC_EDGES = [k / 64 for k in range(64)]
