@@ -49,8 +49,8 @@ class SweepSpec:
             raise ValueError(f"need at least 2 grid points, got {self.points}")
         if self.spacing not in ("log", "linear"):
             raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
-        if self.spacing == "log" and self.mu_eta_min <= 0.0:
-            raise ValueError("log spacing needs a positive lower endpoint")
+        if self.mu_eta_min <= 0.0:
+            raise ValueError(f"mu_eta_min must be positive, got {self.mu_eta_min}")
 
     def grid(self) -> np.ndarray:
         if self.spacing == "log":
@@ -272,7 +272,10 @@ def _apply_config(args: argparse.Namespace, config_path: str | None) -> None:
         cast = _CONFIG_CASTS.get(key)
         if cast is None:
             raise ValueError(f"unknown configuration key {key!r}")
-        value = cast(raw)
+        try:
+            value = cast(raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: configuration {key}={raw!r}: {exc}") from exc
         if key in _CHOICES and value not in _CHOICES[key]:
             raise ValueError(f"configuration {key}={value!r} is not one of {_CHOICES[key]}")
         if key not in flags:

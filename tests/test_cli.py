@@ -153,6 +153,15 @@ class TestSweep:
         assert code == 1 and out == ""
         assert "finite mu_eta_min < mu_eta_max" in err and "inf" in err
 
+    @pytest.mark.parametrize("low", ["0", "-1"])
+    def test_non_positive_linear_lower_end_rejected(self, capsys, low):
+        code, out, err = run_cli(
+            capsys, "sweep", "--spacing", "linear", "--mu-eta-min", low,
+            "--mu-eta-max", "2", "--points", "3",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "mu_eta_min" in err
+
     def test_grid_too_large_to_allocate_exits_2(self, capsys):
         # 10^15 float64 grid points (7 PiB): the allocation fails before any
         # page is touched.
@@ -530,6 +539,18 @@ class TestConfigPrecedence:
             "--gates", "1000", "--out", str(tmp_path / "c.bits"),
         )
         assert code == 1 and "unknown configuration key" in err
+
+    def test_value_that_fails_its_cast_names_file_and_key(self, capsys, tmp_path):
+        config = tmp_path / "qrng.conf"
+        config.write_text("gates=abc\n")
+        out_path = tmp_path / "c.bits"
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "generate", "--mu-eta", "1.0",
+            "--out", str(out_path),
+        )
+        assert code == 1 and out == ""
+        assert str(config) in err and "gates='abc'" in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("line, argv", [
         ("format=xml", ("test", "{bits}", "--block-size", "2048")),

@@ -240,6 +240,31 @@ class TestChunkBoundaries:
         assert ones_fraction(stream) == (ones / length if length else None)
 
 
+class TestDefaultChunk:
+    # Slices of the real ``_CHUNK``, unpatched: just over three of them.
+    n = 3 * postproc._CHUNK + 5
+
+    def test_events_to_bits_with_a_slice_of_no_valid_gate(self):
+        rng = np.random.default_rng(29)
+        codes = rng.integers(0, 4, self.n, dtype=np.uint8)
+        # NONE and COLLISION only, over all of the second slice and past it.
+        lo, hi = postproc._CHUNK - 50, 2 * postproc._CHUNK + 50
+        codes[lo:hi] = rng.choice([Outcome.NONE, Outcome.COLLISION], hi - lo)
+        assert events_to_bits(codes) == events_to_bits_reference(codes)
+
+    def test_von_neumann_with_a_slice_of_equal_pairs(self):
+        rng = np.random.default_rng(30)
+        bits = rng.integers(0, 2, self.n, dtype=np.uint8)
+        # Equal pairs only, over all of the second slice and past it.
+        lo, hi = postproc._CHUNK - 50, 2 * postproc._CHUNK + 50
+        bits[lo:hi] = np.repeat(rng.integers(0, 2, (hi - lo) // 2, dtype=np.uint8), 2)
+        stream = with_padding(bits, 0xFF)
+        out = von_neumann(stream)
+        expected = von_neumann_reference(stream)
+        assert (out.data, out.length) == (expected.data, expected.length)
+        assert ones_fraction(stream) == ones_reference(stream) / self.n
+
+
 def test_extraction_and_debiasing_stay_in_bounded_memory():
     # 2**21 codes take 2 MB; a stage holding a full-length unpacked or
     # widened array would take at least that again (int64 bits: 8 MB).
