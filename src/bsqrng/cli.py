@@ -12,8 +12,10 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -58,61 +60,55 @@ class SweepSpec:
         return np.linspace(self.mu_eta_min, self.mu_eta_max, self.points)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    mu_eta: float
-    source: str
-    p_gen: float
-    p_disc: float
-    p_none: float
-    contrast: float
-    error: str = ""
-
-
 _SWEEP_HEADER = "mu_eta,source,p_gen,p_disc,p_none,contrast"
 
 
-def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Analytic generation/discard/contrast table over the grid.
+@contextmanager
+def _output(path: str | Path | None) -> Iterator[TextIO]:
+    """The text file at ``path``, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
 
-    A source whose tables would pass the photon-total cap at a point keeps its
-    row, with nan probabilities and the refusal as its error.
+
+def sweep(spec: SweepSpec, out_path: str | Path | None = None) -> str:
+    """Write the analytic generation/discard/contrast table as CSV.
+
+    Each grid point's rows go to ``out_path`` (stdout when None) as soon as
+    they are computed. A source whose tables would pass the photon-total cap
+    at a point keeps its row, with nan probabilities, after a comment line
+    naming the refusal. Returns the first refusal, or "" if there is none.
     """
-    rows = []
-    for mu_eta in spec.grid():
-        try:
-            contrast = coincidence_contrast(float(mu_eta))
-        except ValueError as exc:
-            contrast, contrast_error = math.nan, str(exc)
-        else:
-            contrast_error = ""
-        for source in spec.sources:
+    grid = spec.grid()  # a grid too large to allocate fails before the file is made
+    refusal = ""
+    with _output(out_path) as out:
+        out.write(_SWEEP_HEADER + "\n")
+        for mu_eta in map(float, grid):
             try:
-                probs = outcome_probabilities(
-                    output_joint_distribution(source, float(mu_eta))
-                )
-            except OverflowError as exc:
-                p_gen = p_disc = p_none = math.nan
-                error = str(exc)
+                contrast = coincidence_contrast(mu_eta)
+            except ValueError as exc:
+                contrast, contrast_error = math.nan, str(exc)
             else:
-                p_gen, p_disc, p_none = probs.p_gen, probs.p_disc, probs.p_none
-                error = contrast_error
-            rows.append(
-                SweepRow(float(mu_eta), source.label, p_gen, p_disc, p_none, contrast, error)
-            )
-    return rows
-
-
-def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [_SWEEP_HEADER]
-    for r in rows:
-        if r.error:
-            lines.append(f"# mu_eta={r.mu_eta:.9g} source={r.source} error: {r.error}")
-        lines.append(
-            f"{r.mu_eta:.9g},{r.source},{r.p_gen:.9g},{r.p_disc:.9g},"
-            f"{r.p_none:.9g},{r.contrast:.9g}"
-        )
-    return "\n".join(lines) + "\n"
+                contrast_error = ""
+            for source in spec.sources:
+                try:
+                    probs = outcome_probabilities(output_joint_distribution(source, mu_eta))
+                except OverflowError as exc:
+                    p_gen = p_disc = p_none = math.nan
+                    error = str(exc)
+                    refusal = refusal or error
+                else:
+                    p_gen, p_disc, p_none = probs.p_gen, probs.p_disc, probs.p_none
+                    error = contrast_error
+                if error:
+                    out.write(f"# mu_eta={mu_eta:.9g} source={source.label} error: {error}\n")
+                out.write(
+                    f"{mu_eta:.9g},{source.label},{p_gen:.9g},{p_disc:.9g},"
+                    f"{p_none:.9g},{contrast:.9g}\n"
+                )
+    return refusal
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -335,6 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: ``main`` may run many commands in one interpreter.
+_PARSER = build_parser()
+
+
 def _parse_sources(text: str) -> tuple[SourceModel, ...]:
     return tuple(SourceModel.from_label(part.strip()) for part in text.split(","))
 
@@ -344,16 +344,9 @@ def _cmd_sweep(args) -> int:
                      spacing="log", source=_DEFAULT_SOURCES)
     spec = SweepSpec(args.mu_eta_min, args.mu_eta_max, args.points, args.spacing,
                      _parse_sources(args.source))
-    rows = sweep(spec)
-    text = sweep_csv(rows)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    # Only a refused table leaves p_gen nan; its rows are written, the status is 2.
-    refused = [r.error for r in rows if math.isnan(r.p_gen)]
-    if refused:
-        raise OverflowError(refused[0])
+    refusal = sweep(spec, args.out)
+    if refusal:  # every row is written; a refused table still exits 2
+        raise OverflowError(refusal)
     return 0
 
 
@@ -395,10 +388,8 @@ def _cmd_test(args) -> int:
     stream = load_bitstream(args.input)
     report = run_battery(stream, args.block_size, args.alpha)
     rendered = report.to_csv() if args.format == "csv" else report.to_text()
-    if args.out:
-        Path(args.out).write_text(rendered)
-    else:
-        sys.stdout.write(rendered)
+    with _output(args.out) as out:
+        out.write(rendered)
     for name, frac in report.pass_fraction().items():
         print(f"pass_fraction {name} {frac:.3f}", file=sys.stderr)
     return 0
@@ -432,8 +423,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _apply_config(args, args.config)
         return _COMMANDS[args.command](args)

@@ -80,7 +80,10 @@ class BitStream:
                 raise ValueError(f"{path}: not a bit-stream file (bad magic)")
             if version != _VERSION:
                 raise ValueError(f"{path}: unsupported version {version}")
-            prov_text = fh.read(prov_len).decode()
+            try:
+                prov_text = fh.read(prov_len).decode()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: provenance is not UTF-8 text: {exc}") from None
             payload = fh.read()
         if len(payload) != (length + 7) // 8:
             raise ValueError(f"{path}: payload does not match declared bit length")

@@ -5,13 +5,15 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import bsqrng
 from bsqrng.cli import SweepSpec, find_optimum, main, sweep
-from bsqrng.fock import SourceModel
+from bsqrng.detection import outcome_probabilities
+from bsqrng.fock import SourceModel, output_joint_distribution
 from bsqrng.postproc import BitStream
 
 
@@ -197,16 +199,55 @@ class TestSweep:
         _, rows = parse_sweep_csv(out)
         assert {r["source"] for r in rows} == {"dist", "mix:0.5"}
 
-    def test_mixture_endpoints_print_the_named_pairs_rows(self):
+    def test_mixture_endpoints_print_the_named_pairs_rows(self, tmp_path):
         labels = ("mix:0", "dist", "mix:1", "indist")
-        spec = SweepSpec(0.05, 40.0, 25, sources=tuple(map(SourceModel.from_label, labels)))
-        rows = {(r.mu_eta, r.source): r for r in sweep(spec)}
-        for mu_eta in spec.grid():
-            for mixture, named in (("mix:0", "dist"), ("mix:1", "indist")):
-                a, b = rows[mu_eta, mixture], rows[mu_eta, named]
-                assert (a.p_gen, a.p_disc, a.p_none, a.contrast) == (
-                    b.p_gen, b.p_disc, b.p_none, b.contrast
-                ), (mu_eta, mixture)
+        sources = {label: SourceModel.from_label(label) for label in labels}
+        spec = SweepSpec(0.05, 40.0, 25, sources=tuple(sources.values()))
+        pairs = (("mix:0", "dist"), ("mix:1", "indist"))
+        for mu_eta in map(float, spec.grid()):
+            for mixture, named in pairs:
+                a, b = (
+                    outcome_probabilities(output_joint_distribution(sources[label], mu_eta))
+                    for label in (mixture, named)
+                )
+                assert (a.p_gen, a.p_disc, a.p_none) == (b.p_gen, b.p_disc, b.p_none), (
+                    mu_eta, mixture
+                )
+        out_path = tmp_path / "sweep.csv"
+        assert sweep(spec, out_path) == ""
+        _, rows = parse_sweep_csv(out_path.read_text())
+        assert len(rows) == len(labels) * spec.points
+        fields = {(r["mu_eta"], r["source"]): list(r.values())[2:] for r in rows}
+        for mu_eta in {r["mu_eta"] for r in rows}:
+            for mixture, named in pairs:
+                assert fields[mu_eta, mixture] == fields[mu_eta, named], (mu_eta, mixture)
+
+    def test_grid_too_large_to_allocate_creates_no_file(self, capsys, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--mu-eta-min", "1", "--mu-eta-max", "2",
+            "--points", "1000000000000000", "--out", str(out_path),
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert not out_path.exists()
+
+    def test_peak_memory_does_not_grow_with_points(self, tmp_path):
+        # Rows are written as they are computed: ten times the points may add
+        # little more than the grid itself (8 bytes a point) to the peak.
+        # Holding the rows and the CSV text would cost about 500 bytes a row.
+        def peak(points):
+            argv = ["sweep", "--mu-eta-min", "1", "--mu-eta-max", "2", "--points",
+                    str(points), "--source", "single", "--out", str(tmp_path / "s.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # warm the table caches
+        small, large = peak(100), peak(1000)
+        assert large - small < 8 * 900 + 16_384, (small, large)
 
 
 class TestOptimum:
@@ -367,6 +408,14 @@ class TestTestCommand:
         code, out, err = run_cli(capsys, "test", str(path))
         assert code == 1 and out == ""
         assert err == f"error: {path}: neither a BSRB bit file nor ASCII '0'/'1' text\n"
+
+    def test_non_utf8_provenance_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin.bits"
+        BitStream.from_bits([1, 0] * 2048, {"note": "ab"}).write(path)
+        path.write_bytes(path.read_bytes().replace(b"note=ab", b"note=\xffb"))
+        code, out, err = run_cli(capsys, "test", str(path), "--block-size", "2048")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: provenance is not UTF-8 text: ")
 
     def test_unknown_format_rejected_by_parser(self, capsys, tmp_path):
         path = tmp_path / "zeros.txt"
@@ -602,13 +651,16 @@ class TestConfigPrecedence:
 
 
 class TestLibrarySweep:
-    def test_contrast_column_shared_across_sources(self):
-        rows = sweep(SweepSpec(0.5, 2.0, points=3, spacing="linear"))
+    def test_contrast_column_shared_across_sources(self, tmp_path):
+        out_path = tmp_path / "sweep.csv"
+        assert sweep(SweepSpec(0.5, 2.0, points=3, spacing="linear"), out_path) == ""
+        _, rows = parse_sweep_csv(out_path.read_text())
         by_mu = {}
         for row in rows:
-            by_mu.setdefault(row.mu_eta, set()).add(row.contrast)
+            by_mu.setdefault(row["mu_eta"], []).append(row["contrast"])
+        assert len(by_mu) == 3
         for contrasts in by_mu.values():
-            assert len(contrasts) == 1
+            assert len(contrasts) == 2 and len(set(contrasts)) == 1
 
     def test_nine_significant_digits(self, capsys):
         code, out, _ = run_cli(

@@ -535,7 +535,7 @@ class TestTableBuilds:
                 assert np.array_equal(probs, expected)
                 assert not probs.flags.writeable
 
-    def test_sweep_builds_each_table_once_per_point(self, monkeypatch):
+    def test_sweep_builds_each_table_once_per_point(self, monkeypatch, tmp_path):
         # Each arm-weight build reads the log factorials once; each
         # interfering table runs the splitter transform once.
         builds = {"weights": 0, "transform": 0}
@@ -553,7 +553,9 @@ class TestTableBuilds:
         points = 12
         sources = tuple(map(SourceModel.from_label, ALL_SOURCES))
         spec = SweepSpec(0.05, 20.0, points, sources=sources)
-        assert len(sweep(spec)) == 4 * points
+        out_path = tmp_path / "sweep.csv"
+        assert sweep(spec, out_path) == ""
+        assert len(out_path.read_text().splitlines()) == 1 + 4 * points
         assert builds == {"weights": points, "transform": points}
 
     @pytest.mark.parametrize("label", ["mix:0", "dist", "single"])

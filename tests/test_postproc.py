@@ -132,6 +132,15 @@ class TestPackingAndFiles:
         with pytest.raises(ValueError, match="magic"):
             BitStream.read(path)
 
+    def test_non_utf8_provenance_names_the_file(self, tmp_path):
+        path = tmp_path / "latin.bits"
+        BitStream.from_bits([1, 0, 1], {"note": "ab"}).write(path)
+        path.write_bytes(path.read_bytes().replace(b"note=ab", b"note=\xffb"))
+        with pytest.raises(ValueError, match="provenance is not UTF-8") as info:
+            BitStream.read(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert not isinstance(info.value, UnicodeDecodeError)
+
     def test_truncated_payload_rejected(self, tmp_path):
         stream = BitStream.from_bits([1] * 64)
         path = tmp_path / "short.bits"
