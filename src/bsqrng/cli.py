@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -396,20 +397,25 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    """Render a battery report CSV as text, or copy a sweep CSV to stdout in
+    chunks; the first line tells them apart."""
+    unrecognized = ValueError(
+        f"{args.input}: unrecognized stored result; expected a battery report "
+        "CSV or a sweep CSV"
+    )
     try:
-        text = Path(args.input).read_text()
+        with open(args.input) as fh:
+            head = fh.readline()
+            first_line = (head.splitlines() or [""])[0]
+            if first_line == _CSV_HEADER:
+                sys.stdout.write(parse_report_csv(head + fh.read()).to_text())
+            elif first_line == _SWEEP_HEADER:
+                sys.stdout.write(head)
+                shutil.copyfileobj(fh, sys.stdout)
+            else:
+                raise unrecognized
     except UnicodeDecodeError:
-        text = ""
-    first_line = text.splitlines()[0] if text else ""
-    if first_line == _CSV_HEADER:
-        sys.stdout.write(parse_report_csv(text).to_text())
-    elif first_line == _SWEEP_HEADER:
-        sys.stdout.write(text)
-    else:
-        raise ValueError(
-            f"{args.input}: unrecognized stored result; expected a battery report "
-            "CSV or a sweep CSV"
-        )
+        raise unrecognized from None
     return 0
 
 

@@ -30,6 +30,14 @@ def _ascii_bits(text: str) -> np.ndarray:
     return bits
 
 
+def _bit_array(bits) -> np.ndarray:
+    """``bits`` as a uint8 array, once every value is found to equal 0 or 1."""
+    arr = np.asarray(bits)
+    if arr.dtype != bool and not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("bit values must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True)
 class BitStream:
     """A packed bit sequence with its provenance record."""
@@ -48,9 +56,7 @@ class BitStream:
     def from_bits(
         cls, bits: Iterable[int] | np.ndarray, provenance: Mapping[str, str] | None = None
     ) -> "BitStream":
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.size and arr.max() > 1:
-            raise ValueError("bit values must be 0 or 1")
+        arr = _bit_array(bits)
         return cls(np.packbits(arr).tobytes(), int(arr.size), dict(provenance or {}))
 
     def bits(self) -> np.ndarray:

@@ -10,22 +10,25 @@ as not run. A ``TestReport`` holds a battery's results as two read-only
 arrays of shape ``(len(COMPONENTS), n_blocks)``, ``p_values`` (float64) and
 ``passed`` (bool): row i is ``COMPONENTS[i]`` and column b is block b.
 
-The battery evaluates a group of equal blocks at a time, held as one
-``(k, n)`` bit array (``_Blocks``): each integer statistic is one row-wise
-array operation over the group, and each test then returns one p-value per
-block. A test given plain bits runs the same kernels on a group of one
-block. Most statistics read the rows packed into bytes: ones and runs'
-transitions are popcounts (a row xor itself shifted by one bit marks each
-change), block frequency and longest run share the packed sub-blocks, and
-the longest run of each sub-block is read from a table of the longest run
-in every 16-bit pair of neighbouring bytes (``_longest_runs``). A group
-holds about ``_GROUP_BITS`` bits, and a ``BitStream`` is unpacked one group
-at a time, so memory is bounded by a group, not by the input. Cumulative
-sums reads the normal CDF only at the points the blocks need, evaluated for
-all blocks of a battery in one call, once per |p|: at -|p|, with +|p| its
-reflection. Every p-value is the same, bit for bit, as a block-by-block
-evaluation gives: float sums run over each row in the order a one-block sum
-would.
+The battery evaluates a group of equal blocks at a time (``_Blocks``), held
+as ``(k, ceil(n / 8))`` rows of bytes, each block packed MSB first: the one
+bit representation of the battery. When n is a multiple of 8 the rows are a
+view of the ``BitStream`` payload, with no copy; otherwise each group's rows
+are shifted into place once (``_shifted``). A test given plain bits packs
+them once and runs the same kernels on a group of one block. Each integer
+statistic is one row-wise array operation over the group, and each test
+then returns one p-value per block: ones and runs' transitions are popcounts
+(a row xor itself shifted by one bit marks each change), block frequency and
+longest run share the sub-blocks, a reshape of the rows when their length is
+whole bytes, the longest run of each sub-block is read from a table of the
+longest run in every 16-bit pair of neighbouring bytes (``_longest_runs``),
+and the pattern counts from 32-bit words of the rows. A group holds about
+``_GROUP_BITS`` = 2^18 bits, 32 kB, so memory is bounded by a group, not by
+the input. Cumulative sums reads the normal CDF only at the points the
+blocks need, evaluated for all blocks of a battery in one call, once per
+|p|: at -|p|, with +|p| its reflection. Every p-value is the same, bit for
+bit, as a block-by-block evaluation gives: float sums run over each row in
+the order a one-block sum would.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .postproc import BitStream, _ascii_bits
+from .postproc import BitStream, _ascii_bits, _bit_array
 from .special import erfc, gammainc_upper, normal_cdf
 
-# Bits per group of blocks; a block longer than this is a group alone.
-_GROUP_BITS = 1 << 17
+# Bits per group of blocks; a block longer than this is a group alone. Sized
+# by timing run_battery on 200 blocks of 20 000 bits: 2^18 ran fastest of
+# 2^17 .. 2^20.
+_GROUP_BITS = 1 << 18
 
 
 class InsufficientDataError(ValueError):
@@ -49,16 +54,49 @@ class InsufficientDataError(ValueError):
 
 
 def _as_bits(bits) -> np.ndarray:
-    if isinstance(bits, BitStream):
-        return bits.bits()
+    """A one-dimensional array or a string of '0' and '1', checked, as uint8 bits."""
     if isinstance(bits, str):
         return _ascii_bits(bits)
-    arr = np.asarray(bits, dtype=np.uint8)
+    arr = _bit_array(bits)
     if arr.ndim != 1:
         raise ValueError("bit input must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit values must be 0 or 1")
     return arr
+
+
+def _as_stream(bits) -> BitStream:
+    """``bits`` itself if it is a ``BitStream``, else its checked bits packed once."""
+    return bits if isinstance(bits, BitStream) else BitStream.from_bits(_as_bits(bits))
+
+
+def _packed_rows(stream: BitStream, start: int, n: int, k: int) -> np.ndarray:
+    """The k consecutive rows of n bits from bit ``start`` of the stream, each
+    packed MSB first with its last byte padded with zeros: shape ``(k,
+    ceil(n / 8))``. Rows that start and end on byte edges are a view of the
+    payload."""
+    payload = np.frombuffer(stream.data, dtype=np.uint8)
+    if start % 8 == 0 and n % 8 == 0:
+        return payload[start // 8 : (start + k * n) // 8].reshape(k, n // 8)
+    return _shifted(payload, start + n * np.arange(k), n)
+
+
+def _shifted(payload: np.ndarray, starts: np.ndarray, n: int) -> np.ndarray:
+    """The n bits of ``payload`` from each bit offset in ``starts``, shifted to
+    start a byte and packed MSB first with zero padding: shape ``(len(starts),
+    ceil(n / 8))``.
+
+    Output byte j of a row is the 16 bits of input bytes j and j + 1 from the
+    row's first byte, shifted left by the start's offset in its byte. A byte
+    past the payload's end can only feed padding bits, so its index is clipped.
+    """
+    width = -(-n // 8)
+    index = (starts // 8)[:, None] + np.arange(width + 1)
+    data = payload.take(index, mode="clip").astype(np.uint16)
+    pairs = data[:, :-1] << 8
+    pairs |= data[:, 1:]
+    pairs <<= (starts % 8).astype(np.uint16)[:, None]
+    rows = (pairs >> 8).astype(np.uint8)
+    rows[:, -1] &= (0xFF00 >> (n - 8 * (width - 1))) & 0xFF
+    return rows
 
 
 # Byte tables, indexed by the byte value; its bits are read MSB first.
@@ -98,12 +136,15 @@ _PAIR_LONGEST = _pair_longest_table()
 class _Blocks:
     """A group of k battery blocks of n bits each, and the statistics their tests share.
 
-    ``run_battery`` hands a group to each public test function, which then
-    returns one p-value per block; given plain bits, a test checks them and
-    builds a group of one block, and returns its p-value alone. Statistics
-    are computed on first use, for every block of the group at once; the
-    ones and the walk are read from the rows packed into bytes, and the
-    sub-blocks of one length are packed once for every test that reads them.
+    ``packed`` holds the blocks as ``(k, ceil(n / 8))`` rows packed MSB
+    first, each row's last byte padded with zeros; ``_packed_rows`` makes
+    them, as a view of the stream's payload when the blocks fall on byte
+    edges. ``run_battery`` hands a group to each public test function, which
+    then returns one p-value per block; given plain bits, a test packs them
+    into a group of one block, and returns its p-value alone. Statistics are
+    computed on first use, for every block of the group at once; the
+    sub-blocks of one length are laid out once for every test that reads
+    them.
 
     Counts of every length up to ``max_m`` come from the ``max_m``-bit
     counts: the circular (m-1)-bit pattern q occurs exactly as often as the
@@ -115,17 +156,12 @@ class _Blocks:
     ``cdf`` is the normal-CDF table those tests read (``_cusum_cdf``).
     """
 
-    def __init__(self, rows: np.ndarray, max_m: int):
-        self.rows = rows
-        self.k, self.n = rows.shape
+    def __init__(self, packed: np.ndarray, n: int, max_m: int):
+        self.packed = packed
+        self.k, self.n = len(packed), n
         self.max_m = max_m
         self.cdf: np.ndarray | None = None
         self._sub_blocks: dict[int, np.ndarray] = {}
-
-    @functools.cached_property
-    def packed(self) -> np.ndarray:
-        """Each row packed MSB first, its last byte padded with zeros."""
-        return np.packbits(self.rows, axis=1)
 
     @functools.cached_property
     def ones(self) -> np.ndarray:
@@ -138,15 +174,19 @@ class _Blocks:
 
         Byte-major, so that reducing over each sub-block's bytes combines a
         few long rows elementwise instead of reducing many short ones.
+        Sub-blocks of whole bytes are the rows' bytes rearranged; others are
+        shifted out of the rows.
         """
         if length not in self._sub_blocks:
             n_sub = self.n // length
-            width = -(-length // 8)
-            bits = np.empty((self.k, n_sub, 8 * width), dtype=np.uint8)
-            bits[:, :, :length] = self.rows[:, : n_sub * length].reshape(self.k, n_sub, length)
-            bits[:, :, length:] = 0
-            packed = np.packbits(bits.reshape(-1)).reshape(self.k, n_sub, width)
-            self._sub_blocks[length] = np.ascontiguousarray(packed.transpose(2, 0, 1))
+            if length % 8 == 0:
+                rows = self.packed[:, : n_sub * length // 8]
+            else:
+                starts = 8 * self.packed.shape[1] * np.arange(self.k)[:, None]
+                starts = (starts + length * np.arange(n_sub)).ravel()
+                rows = _shifted(self.packed.ravel(), starts, length)
+            rows = rows.reshape(self.k, n_sub, -(-length // 8))
+            self._sub_blocks[length] = np.ascontiguousarray(rows.transpose(2, 0, 1))
         return self._sub_blocks[length]
 
     @functools.cached_property
@@ -179,7 +219,7 @@ class _Blocks:
 
     @functools.cached_property
     def counts(self) -> dict[int, np.ndarray]:
-        counts = _pattern_counts(self.rows, self.max_m)
+        counts = _pattern_counts(self.packed, self.n, self.max_m)
         by_length = {self.max_m: counts}
         for m in range(self.max_m - 1, 0, -1):
             counts = counts.reshape(self.k, -1, 2).sum(axis=2)
@@ -189,14 +229,17 @@ class _Blocks:
     def drop_bits(self) -> None:
         """Free the bits and every statistic but the walk's excursions, which
         cumulative sums reads once the normal CDF is known."""
-        for name in ("rows", "packed", "ones", "counts"):
+        for name in ("packed", "ones", "counts"):
             vars(self).pop(name, None)
         self._sub_blocks.clear()
 
 
 def _blocks_of(bits, max_m: int = 1) -> _Blocks:
     """``bits`` itself if it is a group, else a group of one block of its checked bits."""
-    return bits if isinstance(bits, _Blocks) else _Blocks(_as_bits(bits)[None, :], max_m)
+    if isinstance(bits, _Blocks):
+        return bits
+    stream = _as_stream(bits)
+    return _Blocks(_packed_rows(stream, 0, stream.length, 1), stream.length, max_m)
 
 
 def _per_block(bits, values: list[float]):
@@ -204,45 +247,51 @@ def _per_block(bits, values: list[float]):
     return values if isinstance(bits, _Blocks) else values[0]
 
 
-def _pattern_counts(rows: np.ndarray, m: int) -> np.ndarray:
-    """Occurrences of each overlapping m-bit pattern in each row, wrapping
-    around the row's end: shape ``(k, 2**m)``.
+def _pattern_counts(packed: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Occurrences of each overlapping m-bit pattern in each row of n bits,
+    packed MSB first with zero padding, wrapping around the row's end: shape
+    ``(k, 2**m)``.
 
     The m + 3 bits from the start of a nibble hold the four windows that
     start in it, so one histogram of those contexts per row, at every whole
-    nibble of the row, gives the counts; the last n % 4 windows are read
-    bit by bit.
+    nibble of the row, gives the counts; the last n % 4 windows are read one
+    by one. Both read 32-bit words of the row with its first m - 1 bits
+    appended.
     """
     if m > 25:
         raise ValueError(f"pattern length must be at most 25, got {m}")
-    k, n = rows.shape
-    extended = np.concatenate((rows, rows[:, : m - 1]), axis=1)
+    k, width = packed.shape
     nibbles = n // 4
-    tail = extended[:, 4 * nibbles :]
-    value = tail[:, : n % 4].astype(np.intp)
-    for i in range(1, m):
-        value <<= 1
-        value |= tail[:, i : i + n % 4]
-    value += (np.arange(k) << m)[:, None]
-    counts = np.bincount(value.ravel(), minlength=k << m).reshape(k, 1 << m)
-    # 32-bit words from every byte of the packed rows on; nibble 2i is the
-    # top of word i, nibble 2i + 1 four bits further.
-    packed = np.packbits(extended, axis=1)
-    del extended, tail
-    packed = np.concatenate((packed, np.zeros((k, 3), dtype=np.uint8)), axis=1)
-    packed = packed[:, : (nibbles + 1) // 2 + 3].astype(np.uint32)
-    words = packed[:, :-3] << 24
-    words |= packed[:, 1:-2] << 16
-    words |= packed[:, 2:-1] << 8
-    words |= packed[:, 3:]
-    del packed
+    # The row, its first m - 1 bits from bit n on, and zero bytes, so that a
+    # word starts at each of the first nibbles // 2 + 1 bytes; bits past the
+    # wrap are never read.
+    wrap = packed[:, : -(-(m - 1) // 8)]
+    extended = np.zeros((k, width + wrap.shape[1] + 4), dtype=np.uint8)
+    extended[:, :width] = packed
+    shift = n % 8
+    if shift:
+        extended[:, width - 1 : width - 1 + wrap.shape[1]] |= wrap >> shift
+        extended[:, width : width + wrap.shape[1]] |= wrap << (8 - shift)
+    else:
+        extended[:, width : width + wrap.shape[1]] = wrap
+    # word i is bytes i .. i + 3 big-endian, read through a view that
+    # steps one byte; nibble 2i is its top, nibble 2i + 1 four bits further
+    words = np.ndarray(
+        (k, nibbles // 2 + 1), dtype=">u4", buffer=extended, strides=(extended.strides[0], 1)
+    ).astype(np.uint32)
+    del extended
+    # the windows from bit 4 * nibbles on lie in the last word
+    offset = 4 * (nibbles % 2) + np.arange(n % 4)
+    tail = (words[:, -1:] >> (32 - m - offset)) & ((1 << m) - 1)
+    tail += (np.arange(k) << m)[:, None]
+    counts = np.bincount(tail.ravel(), minlength=k << m).reshape(k, 1 << m)
     # row r's contexts count in bins r * 2**size onwards
     size = m + 3
     offsets = (np.arange(k, dtype=np.intp) << size)[:, None]
     by_context = sum(
         np.bincount((contexts + offsets).ravel(), minlength=k << size)
         for contexts in (
-            words >> (32 - size),
+            words[:, : (nibbles + 1) // 2] >> (32 - size),
             (words[:, : nibbles // 2] >> (28 - size)) & ((1 << size) - 1),
         )
     ).reshape(k, 1 << size)
@@ -590,15 +639,12 @@ class TestReport:
 
 
 def _groups(stream: BitStream, block_size: int, n_blocks: int):
-    """The first ``n_blocks`` blocks in consecutive groups, each as a ``(k,
-    block_size)`` bit array unpacked from the stream one group at a time."""
+    """The first ``n_blocks`` blocks in consecutive groups of about
+    ``_GROUP_BITS`` bits, each as k packed rows (``_packed_rows``)."""
     per_group = max(1, _GROUP_BITS // block_size)
-    payload = np.frombuffer(stream.data, dtype=np.uint8)
     for first in range(0, n_blocks, per_group):
         k = min(per_group, n_blocks - first)
-        start, stop = first * block_size, (first + k) * block_size
-        rows = np.unpackbits(payload[start // 8 : (stop + 7) // 8])
-        yield rows[start % 8 : start % 8 + stop - start].reshape(k, block_size)
+        yield _packed_rows(stream, first * block_size, block_size, k)
 
 
 def run_battery(
@@ -609,11 +655,12 @@ def run_battery(
     """Partition the input into consecutive blocks and run every test on each.
 
     Trailing bits short of a block are not tested. Other input than a
-    ``BitStream`` is packed into one first; the tests run on a group of
-    blocks at a time, unpacked from the stream one group at a time.
+    ``BitStream`` is packed into one first. The tests run on a group of
+    blocks at a time, held as packed rows: a view of the payload when the
+    block size is a multiple of 8, else each group's rows shifted into
+    place once.
     """
-    if not isinstance(bits, BitStream):
-        bits = BitStream.from_bits(_as_bits(bits))
+    bits = _as_stream(bits)
     n_bits = bits.length
     if not 0.0 < significance < 1.0:
         raise ValueError(f"significance must lie in (0, 1), got {significance}")
@@ -627,7 +674,7 @@ def run_battery(
     p_values: dict[str, list[float]] = {name: [] for name in COMPONENTS}
     groups, excursions = [], []
     for rows in _groups(bits, block_size, n_blocks):
-        group = _Blocks(rows, max(_SERIAL_M, _APPROXIMATE_ENTROPY_M + 1))
+        group = _Blocks(rows, block_size, max(_SERIAL_M, _APPROXIMATE_ENTROPY_M + 1))
         p_values["monobit"] += frequency_monobit(group)
         p_values["block_frequency"] += block_frequency(group, _BLOCK_FREQUENCY_LEN)
         p_values["runs"] += runs(group)

@@ -449,6 +449,47 @@ class TestReportCommand:
         code, shuffled, _ = run_cli(capsys, "report", str(report_path))
         assert code == 0 and shuffled == as_written
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_either_line_end_renders_as_read_text(self, capsys, tmp_path, newline):
+        # as the whole file read in text mode: a sweep CSV copied, a battery
+        # CSV rendered, with \r\n read as \n
+        sweep_path, report_path = tmp_path / "sweep.csv", tmp_path / "report.csv"
+        run_cli(capsys, "sweep", "--points", "3", "--out", str(sweep_path))
+        (tmp_path / "r.txt").write_text("01" * 2048)
+        run_cli(capsys, "test", str(tmp_path / "r.txt"), "--block-size", "2048",
+                "--out", str(report_path))
+        _, rendered, _ = run_cli(capsys, "report", str(report_path))
+        for path in (sweep_path, report_path):
+            path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        code, out, err = run_cli(capsys, "report", str(sweep_path))
+        assert (code, err) == (0, "") and out == sweep_path.read_text()
+        assert "\r" not in out and out.count("\n") == 7
+        code, out, _ = run_cli(capsys, "report", str(report_path))
+        assert code == 0 and out == rendered
+
+    def test_sweep_csv_is_copied_in_bounded_memory(self, tmp_path, monkeypatch):
+        # a sweep CSV of about 6 MB and one of two rows, echoed to a file
+        row = "0.05,single,0.0475614712,0.00119446401,0.951244065,-0.0833333333\n"
+        tiny, large = tmp_path / "tiny.csv", tmp_path / "large.csv"
+        tiny.write_text("mu_eta,source,p_gen,p_disc,p_none,contrast\n" + 2 * row)
+        large.write_text("mu_eta,source,p_gen,p_disc,p_none,contrast\n" + 90_000 * row)
+
+        def peak(path):
+            with open(tmp_path / "out.csv", "w") as out:
+                monkeypatch.setattr(sys, "stdout", out)
+                tracemalloc.start()
+                try:
+                    assert main(["report", str(path)]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                    monkeypatch.undo()
+
+        peak(tiny)
+        small, big = peak(tiny), peak(large)
+        assert (tmp_path / "out.csv").read_bytes() == large.read_bytes()
+        assert big - small < 1 << 20, (small, big)
+
     def test_rejects_unknown_content(self, capsys, tmp_path):
         path = tmp_path / "odd.csv"
         path.write_text("alpha,beta\n1,2\n")

@@ -154,6 +154,18 @@ class TestPackingAndFiles:
         with pytest.raises(ValueError):
             BitStream.from_ascii("0102")
 
+    @pytest.mark.parametrize(
+        "values", [[0.5, 1.9, 0.2], [256, 0, 1], [-1, 0, 1], [1.0, math.nan], [2]]
+    )
+    def test_non_binary_values_rejected(self, values):
+        # each value is checked before the cast to uint8, which would wrap or truncate it
+        with pytest.raises(ValueError, match="0 or 1"):
+            BitStream.from_bits(np.array(values))
+
+    def test_bools_and_whole_floats_are_bits(self):
+        for bits in (np.array([True, False, True]), np.array([1.0, 0.0, 1.0]), [1, 0, 1]):
+            assert BitStream.from_bits(bits) == BitStream(b"\xa0", 3)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BitStream(b"\x00\x00", 3)

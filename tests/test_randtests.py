@@ -23,6 +23,7 @@ from bsqrng.randtests import (
     _changes,
     _cusum_cdf,
     _longest_runs,
+    _packed_rows,
     _pattern_counts,
     approximate_entropy,
     block_frequency,
@@ -235,11 +236,39 @@ def alternating_runs(lengths, first_bit):
     ])
 
 
+def packed_group(rows, max_m=1):
+    """A group of the given unpacked rows, packed MSB first as the battery holds them."""
+    return _Blocks(np.packbits(rows, axis=1), rows.shape[1], max_m)
+
+
 def longest_runs(rows, block_len, cap):
-    return _longest_runs(_Blocks(rows, 1).sub_blocks(block_len), cap)
+    return _longest_runs(packed_group(rows).sub_blocks(block_len), cap)
 
 
 class TestVectorizedKernels:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 90), st.integers(1, 5),
+           st.integers(0, 9), st.booleans())
+    def test_packed_rows_match_unpacked(self, seed, start, n, k, extra, ones_padding):
+        # rows from every bit of a byte, of every n % 8, to the payload's end
+        # or short of it, in a stream whose padding bits may be ones
+        bits = ideal_bits(start + k * n + extra, seed)
+        data = bytearray(np.packbits(bits))
+        if ones_padding and len(bits) % 8:
+            data[-1] |= 0xFF >> len(bits) % 8
+        rows = _packed_rows(BitStream(bytes(data), len(bits)), start, n, k)
+        expected = np.packbits(bits[start : start + k * n].reshape(k, n), axis=1)
+        assert rows.dtype == np.uint8 and rows.tolist() == expected.tolist()
+
+    def test_byte_aligned_groups_are_views_of_the_payload(self):
+        stream = BitStream.from_bits(ideal_bits(5 * 1024 + 3, seed=1))
+        payload = np.frombuffer(stream.data, dtype=np.uint8)
+        with mock.patch.object(randtests, "_GROUP_BITS", 2 * 1024):
+            aligned = list(randtests._groups(stream, 1024, 5))
+            shifted = list(randtests._groups(stream, 1023, 5))
+        assert [len(rows) for rows in aligned] == [2, 2, 1]
+        assert all(np.shares_memory(rows, payload) for rows in aligned)
+        assert not any(np.shares_memory(rows, payload) for rows in shifted)
+
     # sub-blocks of every length mod 8 and up to 11 bytes; runs of up to 40
     # bits, a chain of 0xFF bytes, after a first run that sets their offset
     @given(run_lengths, st.booleans(), st.integers(1, 88), st.sampled_from([4, 9, 16]))
@@ -277,7 +306,7 @@ class TestVectorizedKernels:
     def test_changes_match_loop(self, seed, k, n, p_one):
         # every n % 8, several rows, and constant rows
         rows = (np.random.default_rng(seed).random((k, n)) < p_one).astype(np.uint8)
-        changes = _changes(_Blocks(rows, 1).packed, n)
+        changes = _changes(np.packbits(rows, axis=1), n)
         assert changes.tolist() == [loop_changes(row.tolist()) for row in rows]
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 90),
@@ -285,7 +314,7 @@ class TestVectorizedKernels:
     def test_sub_block_ones_match_loop(self, seed, k, n, block_len, p_one):
         # every n % 8 and block_len % 8; the ones that block frequency reads
         rows = (np.random.default_rng(seed).random((k, n)) < p_one).astype(np.uint8)
-        ones = np.bitwise_count(_Blocks(rows, 1).sub_blocks(block_len)).sum(axis=0)
+        ones = np.bitwise_count(packed_group(rows).sub_blocks(block_len)).sum(axis=0)
         expected = [
             [sum(row[j : j + block_len].tolist()) for j in range(0, n - block_len + 1, block_len)]
             for row in rows
@@ -295,7 +324,7 @@ class TestVectorizedKernels:
     @given(st.integers(0, 2**32 - 1), st.integers(5, 400))
     def test_derived_pattern_counts_match_direct(self, seed, n):
         bits = ideal_bits(n, seed)
-        shared = _Blocks(bits[None, :], 5)
+        shared = packed_group(bits[None, :], 5)
         for m in (5, 4, 3, 2, 1):
             assert shared.counts[m][0].tolist() == loop_pattern_counts(bits, m), m
 
@@ -305,7 +334,7 @@ class TestVectorizedKernels:
         # every n % 4 and n % 8, several rows, and constant rows
         rows = (np.random.default_rng(seed).random((k, n)) < p_one).astype(np.uint8)
         expected = [loop_pattern_counts(row, m) for row in rows]
-        assert _pattern_counts(rows, m).tolist() == expected
+        assert _pattern_counts(np.packbits(rows, axis=1), n, m).tolist() == expected
 
 
 def shaped_walk(steps, shape):
@@ -337,7 +366,7 @@ class TestCumulativeSumsKernels:
     @example([False, False], "monotone")
     def test_shared_walk_matches_plain_array(self, steps, shape):
         bits = shaped_walk(steps, shape)
-        block = _Blocks(bits[None, :], 1)
+        block = packed_group(bits[None, :])
         for direction in ("forward", "backward"):
             assert block.excursions[direction].tolist() == [direct_excursion(bits, direction)]
             [shared] = cumulative_sums(block, direction)
@@ -348,7 +377,7 @@ class TestCumulativeSumsKernels:
         # rows of one length: each row's excursions as if alone
         width = min(map(len, rows))
         group = np.array([row[:width] for row in rows], dtype=np.uint8)
-        excursions = _Blocks(group, 1).excursions
+        excursions = packed_group(group).excursions
         for direction in ("forward", "backward"):
             expected = [direct_excursion(row, direction) for row in group]
             assert excursions[direction].tolist() == expected, direction
@@ -427,6 +456,23 @@ class TestPreconditions:
             serial(ideal_bits(64), 26)
         with pytest.raises(ValueError, match="at most 25"):
             approximate_entropy(ideal_bits(64), 25)
+
+    @pytest.mark.parametrize(
+        "values", [[0.5, 1.9, 0.2], [256, 0, 1], [-1, 0, 1], [0, 1, 2], [1.0, math.nan, 0.0]]
+    )
+    def test_non_binary_values_are_refused_before_the_cast(self, values):
+        # a cast to uint8 would read 0.5 1.9 0.2 as 0 1 0 and 256 as 0
+        bits = np.resize(np.array(values), 4096)
+        for check in (_as_bits, frequency_monobit, lambda b: run_battery(b, 2048)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                check(bits)
+
+    def test_bools_and_whole_floats_are_bits(self):
+        bits = ideal_bits(4096, seed=3)
+        expected = run_battery(bits, 2048).p_values
+        for same in (bits.astype(bool), bits.astype(float)):
+            assert frequency_monobit(same) == frequency_monobit(bits)
+            assert np.array_equal(run_battery(same, 2048).p_values, expected)
 
     def test_bit_strings_hold_only_zeros_and_ones(self):
         assert _as_bits("0110").tolist() == [0, 1, 1, 0]
@@ -573,6 +619,29 @@ class TestGroupedBattery:
             for blk, p in enumerate(row)
         } == {key: p.hex() for key, p in expected.items()}
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bytes_and_bits=st.tuples(st.integers(16, 400), st.integers(1, 7)),
+        n_blocks=st.integers(2, 7),
+        per_group=st.integers(1, 4),
+        kind=st.sampled_from(["uniform", "biased", "mixed"]),
+    )
+    @example(3, (512, 3), 5, 2, "mixed")  # the 4 099-bit blocks of the golden digests
+    def test_blocks_that_start_mid_byte_equal_tests_block_by_block(
+        self, seed, bytes_and_bits, n_blocks, per_group, kind
+    ):
+        # block sizes of 1 to 7 bits past a byte, in groups of 1 to 4 blocks
+        # (a short last group when they do not divide n_blocks)
+        block_size = 8 * bytes_and_bits[0] + bytes_and_bits[1]
+        bits = battery_input(seed, block_size, n_blocks, 5, kind)
+        with mock.patch.object(randtests, "_GROUP_BITS", per_group * block_size):
+            report = run_battery(BitStream.from_bits(bits), block_size)
+        expected = block_by_block(bits, block_size, n_blocks)
+        assert [[p.hex() for p in row] for row in report.p_values.tolist()] == [
+            [expected[(name, blk)].hex() for blk in range(n_blocks)] for name in COMPONENTS
+        ]
+
     def test_constant_blocks_match_block_by_block(self):
         bits = np.concatenate([np.zeros(1000, np.uint8), np.ones(1000, np.uint8)] * 3)
         with mock.patch.object(randtests, "_GROUP_BITS", 2000):
@@ -582,8 +651,9 @@ class TestGroupedBattery:
             [expected[(name, blk)].hex() for blk in range(6)] for name in COMPONENTS
         ]
 
-    def test_bit_file_is_unpacked_one_group_at_a_time(self):
-        # 2**22 bits are 4 MB at one byte per bit; a group is 2**17 bits.
+    def test_bit_file_is_tested_one_group_at_a_time(self):
+        # 2**22 bits are 4 MB at one byte per bit, 512 kB packed; a group is
+        # 2**18 bits, and a byte-aligned one is a view of the payload.
         stream = BitStream.from_bits(ideal_bits(1 << 22, seed=4))
         tracemalloc.start()
         try:
