@@ -18,8 +18,9 @@ the interfering branch at p = w), and an inverse-CDF lookup returns the number
 of entries c of its row with ceil(c * 2**53) <= x.
 A splitter row of input total t holds 1.0 from entry t on, so its lookup
 stops at the row's own total wherever the row's cumsum ends.
-``run`` samples chunk k on the one worker thread of a thread pool while the
-calling thread draws chunk k + 1's words; no output byte depends on this.
+``run`` shares the chunks between the calling thread and one worker thread,
+each drawing and classifying whole chunks; no output byte depends on which
+thread takes which chunk.
 This internal generator is simulation plumbing only; the randomness being
 modeled is the physics.
 """
@@ -27,6 +28,7 @@ modeled is the physics.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -159,6 +161,12 @@ def gate_uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     n = stop - start
     bitgen = np.random.Philox(key=seed, counter=start * _BLOCKS_PER_GATE)
     return bitgen.random_raw(n * _WORDS_PER_GATE).reshape(n, _WORDS_PER_GATE)
+
+
+# The worker thread of ``run`` draws through this binding, which tools that
+# replace the module's ``gate_uniforms`` (a tracer's span wrapper, say) leave
+# alone: only the calling thread goes through that name.
+_worker_gate_uniforms = gate_uniforms
 
 
 def _thresholds(p: np.ndarray | float) -> np.ndarray:
@@ -311,13 +319,13 @@ def _classify(cfg: SimConfig, words: np.ndarray, tables: _SamplerTables) -> np.n
     return codes
 
 
-# A chunk's words take 0.5 MB at 2**13 gates. While the worker thread samples
-# one chunk the caller draws the next, so two chunks' words and one chunk's
-# temporaries are live at once. On a 2-CPU x86 box, four untraced 5 s
-# perfbench runs per size of the generate workloads (2**21 gates) gave median
-# wall_s of 0.248, 0.194 and 0.172 s at 2**12, 2**13 and 2**14 gates per
-# chunk for bright-mixture, and 0.219, 0.184 and 0.168 s for optimum-pipeline;
-# 2**14 raised their peak RSS by 1.7 and 2.6 MB over 2**13 (a huge-page step).
+# A chunk's words take 0.5 MB at 2**13 gates. Each of run's two threads holds
+# one chunk's words and temporaries at a time. On a 2-CPU x86 box, four
+# alternating untraced 6 s perfbench runs per size of the generate workloads
+# (2**21 gates) gave median wall_s of 0.177, 0.129 and 0.122 s at 2**12, 2**13
+# and 2**14 gates per chunk for optimum-pipeline, and 0.198, 0.158 and 0.138 s
+# for bright-mixture; 2**14 raised their median peak RSS by 3.3 and 2.4 MB
+# over 2**13 (42.6 and 45.1 MB), so 2**13 stays.
 DEFAULT_CHUNK_GATES = 1 << 13
 # The outcome array takes one byte per gate: 256 MB at the limit.
 MAX_GATES = 1 << 28
@@ -333,16 +341,18 @@ def run(
     ``OverflowError``, and a ``chunk_gates`` below 1 with a ``ValueError``,
     before anything is allocated.
 
-    The gates are taken in chunks of ``chunk_gates``. The calling thread
-    draws chunk k + 1's words with ``gate_uniforms`` while the one worker of
-    a ``ThreadPoolExecutor`` samples chunk k. Philox releases the GIL for
-    its whole draw, so it overlaps the sampling; the sampler is a few dozen
-    short numpy calls per chunk, which hold the GIL between their loops, so
-    it is bound by its per-call cost and a second sampling thread does not
-    help. At most one chunk is in flight, and a sampler error is raised
-    again from its future. A chunk's codes depend only on its words, so no
-    output byte depends on the overlap. The worker is joined before ``run``
-    returns or raises.
+    The gates are taken in chunks of ``chunk_gates``, shared by two threads:
+    the calling thread and one worker. Each takes the next chunk from one
+    shared sequence, draws its words, classifies them, writes its codes and
+    adds them to its own counts; the two counts are added at the end. Philox
+    and many of the sampler's numpy loops release the GIL, so the two threads
+    overlap. A chunk's codes depend only on its words, so no output byte
+    depends on which thread takes which chunk. The caller draws through the
+    module's ``gate_uniforms`` and the worker through a binding made at
+    import, so a wrapper installed on that name runs on the caller alone.
+    An error in either thread, ``BaseException`` included, stops the other
+    at its next chunk and is raised from ``run``; the worker is joined
+    before ``run`` returns or raises.
     """
     if chunk_gates < 1:
         raise ValueError(f"chunk_gates must be at least 1, got {chunk_gates}")
@@ -350,25 +360,43 @@ def run(
         raise OverflowError(
             f"{cfg.n_gates} gates exceed the limit of {MAX_GATES} gates per run"
         )
-    # Imported here so that `import bsqrng.cli` does not pay for it.
-    from concurrent.futures import ThreadPoolExecutor
-
     tables = _SamplerTables(cfg)
     outcomes = np.empty(cfg.n_gates, dtype=np.uint8)
+    counts = np.zeros((2, len(Outcome)), dtype=np.int64)
+    # Taking the next start is one C call under the GIL, so no chunk is taken
+    # twice.
+    starts = iter(range(0, cfg.n_gates, chunk_gates))
+    halt = threading.Event()
+    worker_errors: list[BaseException] = []
 
-    def sample(lo: int, words: np.ndarray) -> np.ndarray:
-        # Calls nothing that perfbench traces: its span stack is not
-        # thread-safe, so gate_uniforms stays on the calling thread.
-        codes = _classify(cfg, words, tables)
-        outcomes[lo : lo + len(codes)] = codes
-        return np.bincount(codes, minlength=len(Outcome))
+    def simulate(draw, tally: np.ndarray) -> None:
+        for lo in starts:
+            hi = min(lo + chunk_gates, cfg.n_gates)
+            words = draw(cfg.seed, lo, hi)
+            # Checked after the draw, which releases the GIL, so that an error
+            # raised meanwhile by the other thread stops this one here.
+            if halt.is_set():
+                return
+            codes = _classify(cfg, words, tables)
+            outcomes[lo:hi] = codes
+            tally += np.bincount(codes, minlength=len(Outcome))
 
-    counts = np.zeros(len(Outcome), dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="mcsim-sampler") as sampler:
-        for lo in range(0, cfg.n_gates, chunk_gates):
-            words = gate_uniforms(cfg.seed, lo, min(lo + chunk_gates, cfg.n_gates))
-            if lo:
-                counts += pending.result()
-            pending = sampler.submit(sample, lo, words)
-        counts += pending.result()
-    return EventTally.from_counts(counts), outcomes
+    def work() -> None:
+        try:
+            simulate(_worker_gate_uniforms, counts[1])
+        except BaseException as exc:
+            halt.set()
+            worker_errors.append(exc)
+
+    worker = threading.Thread(target=work, name="mcsim-worker")
+    worker.start()
+    try:
+        simulate(gate_uniforms, counts[0])
+    except BaseException:
+        halt.set()
+        raise
+    finally:
+        worker.join()
+    if worker_errors:
+        raise worker_errors[0]
+    return EventTally.from_counts(counts.sum(axis=0)), outcomes

@@ -552,6 +552,36 @@ class TestExitCodes:
         )
         assert code == 2 and "budget" in err
 
+    def test_memory_error_on_the_simulator_worker_maps_to_two(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import threading
+
+        import bsqrng.mcsim as mcsim
+
+        inner = mcsim._classify
+        worker_calls = []
+        worker_failed = threading.Event()
+
+        def classify(*args):
+            if threading.current_thread() is threading.main_thread():
+                # The caller waits, so that the worker gets two chunks.
+                worker_failed.wait(timeout=60)
+            else:
+                worker_calls.append(None)
+                if len(worker_calls) == 2:  # never chunk 0
+                    worker_failed.set()
+                    raise MemoryError
+            return inner(*args)
+
+        monkeypatch.setattr(mcsim, "_classify", classify)
+        out = tmp_path / "x.bits"
+        code, stdout, err = run_cli(
+            capsys, "generate", "--mu-eta", "1.0", "--gates", "200000", "--out", str(out)
+        )
+        assert (code, stdout, err) == (2, "", "error: out of memory\n")
+        assert not out.exists()
+
     def test_gate_limit_maps_to_two(self, capsys, tmp_path):
         out = tmp_path / "x.bits"
         code, stdout, err = run_cli(

@@ -106,6 +106,7 @@ class TestHelperThread:
 
         inner = mcsim.gate_uniforms
         active, calls = [], []
+        caller_drew = threading.Event()
 
         def traced(*args):
             # As perfbench's tracer does: a span stack shared by every thread.
@@ -115,10 +116,19 @@ class TestHelperThread:
                 return inner(*args)
             finally:
                 active.pop()
+                caller_drew.set()
+
+        def worker_words(*args):
+            # Holds the worker back until the caller has drawn a chunk, so
+            # that a busy machine cannot leave the caller none.
+            caller_drew.wait(timeout=60)
+            return inner(*args)
 
         monkeypatch.setattr(mcsim, "gate_uniforms", traced)
+        monkeypatch.setattr(mcsim, "_worker_gate_uniforms", worker_words)
         run(make_cfg(n_gates=5000), chunk_gates=777)
-        assert calls == [(threading.get_ident(), 1)] * 7
+        # The worker draws the other chunks through its own binding.
+        assert calls and set(calls) == {(threading.get_ident(), 1)}
 
     def test_sampler_error_is_raised_and_the_helper_joined(self, monkeypatch):
         import bsqrng.mcsim as mcsim
@@ -145,7 +155,7 @@ class TestHelperThread:
         assert threading.enumerate() == before
         assert len(calls) == 3
 
-    def test_caller_error_is_raised_after_the_submitted_chunk(self, monkeypatch):
+    def test_caller_error_is_raised_and_the_worker_stops(self, monkeypatch):
         import bsqrng.mcsim as mcsim
 
         before = threading.enumerate()
@@ -154,12 +164,15 @@ class TestHelperThread:
             pass
 
         inner_words, inner_classify = mcsim.gate_uniforms, mcsim._classify
-        words_calls, sampled = [], []
+        sampled = []
+        caller_failed = threading.Event()
 
         def words(*args):
-            words_calls.append(None)
-            if len(words_calls) == 3:
-                raise PhiloxFault
+            caller_failed.set()
+            raise PhiloxFault
+
+        def worker_words(*args):
+            caller_failed.wait(timeout=60)
             return inner_words(*args)
 
         def classify(*args):
@@ -168,13 +181,40 @@ class TestHelperThread:
             return codes
 
         monkeypatch.setattr(mcsim, "gate_uniforms", words)
+        monkeypatch.setattr(mcsim, "_worker_gate_uniforms", worker_words)
         monkeypatch.setattr(mcsim, "_classify", classify)
         with pytest.raises(PhiloxFault):
             run(make_cfg(n_gates=5000), chunk_gates=777)
         assert threading.enumerate() == before
-        # Chunk 0 was collected and chunk 1, in flight when the third draw
-        # failed, was sampled to the end before run raised.
-        assert sampled == [777, 777]
+        # The caller's chunk was never classified.
+        assert sum(sampled) < 5000
+
+    def test_worker_base_exception_is_raised_and_the_caller_stops(self, monkeypatch):
+        import bsqrng.mcsim as mcsim
+
+        before = threading.enumerate()
+
+        class Abort(BaseException):
+            pass
+
+        inner = mcsim._classify
+        calls = []
+        worker_failed = threading.Event()
+
+        def classify(*args):
+            calls.append(None)
+            if threading.current_thread() is not threading.main_thread():
+                worker_failed.set()
+                raise Abort
+            worker_failed.wait(timeout=60)
+            return inner(*args)
+
+        monkeypatch.setattr(mcsim, "_classify", classify)
+        with pytest.raises(Abort):
+            run(make_cfg(n_gates=200_000), chunk_gates=1)
+        assert threading.enumerate() == before
+        # The caller stopped at its next chunk, not after 200 000 of them.
+        assert len(calls) < 1000
 
 
 class TestTally:
