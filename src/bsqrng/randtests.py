@@ -24,11 +24,11 @@ whole bytes, the longest run of each sub-block is read from a table of the
 longest run in every 16-bit pair of neighbouring bytes (``_longest_runs``),
 and the pattern counts from 32-bit words of the rows. A group holds about
 ``_GROUP_BITS`` = 2^18 bits, 32 kB, so memory is bounded by a group, not by
-the input. Cumulative sums reads the normal CDF only at the points the
-blocks need, evaluated for all blocks of a battery in one call, once per
-|p|: at -|p|, with +|p| its reflection. Every p-value is the same, bit for
-bit, as a block-by-block evaluation gives: float sums run over each row in
-the order a one-block sum would.
+the input. Cumulative sums reads the normal CDF from one table per block
+length, evaluated in one call, once per |p| out to where the CDF is exactly
+0 or 1: at -|p|, with +|p| its reflection. Every p-value is the same, bit
+for bit, as a block-by-block evaluation gives: float sums run over each row
+in the order a one-block sum would.
 """
 
 from __future__ import annotations
@@ -153,14 +153,12 @@ class _Blocks:
     Both cumulative-sums excursions come from one +-1 walk S_0 = 0, ...,
     S_n = end with extremes ``hi`` and ``lo``: the backward walk's partial
     sums are ``end - S_i``, so its excursion is ``max(end - lo, hi - end)``.
-    ``cdf`` is the normal-CDF table those tests read (``_cusum_cdf``).
     """
 
     def __init__(self, packed: np.ndarray, n: int, max_m: int):
         self.packed = packed
         self.k, self.n = len(packed), n
         self.max_m = max_m
-        self.cdf: np.ndarray | None = None
         self._sub_blocks: dict[int, np.ndarray] = {}
 
     @functools.cached_property
@@ -225,13 +223,6 @@ class _Blocks:
             counts = counts.reshape(self.k, -1, 2).sum(axis=2)
             by_length[m] = counts
         return by_length
-
-    def drop_bits(self) -> None:
-        """Free the bits and every statistic but the walk's excursions, which
-        cumulative sums reads once the normal CDF is known."""
-        for name in ("packed", "ones", "counts"):
-            vars(self).pop(name, None)
-        self._sub_blocks.clear()
 
 
 def _blocks_of(bits, max_m: int = 1) -> _Blocks:
@@ -421,15 +412,13 @@ def cumulative_sums(bits, direction: str = "forward"):
         raise InsufficientDataError(f"cumulative sums needs at least 2 bits, got {n}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if group.cdf is None:
-        excursions = np.concatenate(tuple(group.excursions.values()))
-        group.cdf = _cusum_cdf(n, excursions)
+    cdf = _cusum_cdf(n)
     z = group.excursions[direction]
     # Each row's terms are padded to the longest row's, the one of least z:
     # a few rows at a time keep them near a group's size.
     step = max(1, _GROUP_BITS // (8 * (n // int(z.min()) + 4)))
     totals = np.concatenate([
-        _cusum_totals(n, z[first : first + step], group.cdf) for first in range(0, len(z), step)
+        _cusum_totals(n, z[first : first + step], cdf) for first in range(0, len(z), step)
     ])
     return _per_block(bits, [min(max(total, 0.0), 1.0) for total in totals.tolist()])
 
@@ -460,38 +449,29 @@ def _cusum_totals(n: int, z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 
 def _cdf_reach(n: int) -> int:
-    """Beyond this |p|, erfc's argument p / sqrt(n) / sqrt(2) exceeds 27 in
-    magnitude, where erfc gives exactly 0.0 or 2.0."""
-    reach = math.ceil(27.0 * math.sqrt(2.0) * math.sqrt(n))
-    assert (reach + 1) / math.sqrt(n) / math.sqrt(2.0) > 27.0
+    """Beyond this |p|, erfc's argument p / sqrt(n) / sqrt(2) passes 27.3 in
+    magnitude. ``math.erfc`` is exactly 0.0 from about 27.2264 on, so erfc
+    gives exactly 0.0 or 2.0 there."""
+    reach = math.ceil(27.3 * math.sqrt(2.0) * math.sqrt(n))
+    assert math.erfc((reach + 1) / math.sqrt(n) / math.sqrt(2.0)) == 0.0
     return reach
 
 
-def _cusum_cdf(n: int, z: np.ndarray) -> np.ndarray:
-    """Table of ``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for every p = j z,
-    j odd, |p| <= reach, that cumulative sums reads on n bits with excursions
-    ``z``; NaN at every other p, and 0.0 and 1.0 at the ends for |p| > reach.
+@functools.lru_cache(maxsize=1)
+def _cusum_cdf(n: int) -> np.ndarray:
+    """Read-only table of ``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for
+    every |p| <= reach + 1, the normal CDF that cumulative sums reads on
+    blocks of n bits; its ends are exactly 0.0 and 1.0, the value at every
+    |p| > reach. Kept for the last n asked, so a battery builds it once.
 
     One array call evaluates each |p| once, at -|p|; +|p| gets 1.0 minus that,
     the same double: for x > 0, normal_cdf(x) = 0.5 (2 - e) and normal_cdf(-x)
     = 0.5 e with e = erfc(x / sqrt(2)) <= 1, and halving is exact and keeps the
     rounding grid, so 0.5 (2 - e) and 1 - 0.5 e round alike.
     """
-    reach = _cdf_reach(n)
-    z = np.sort(z)
-    z = z[np.diff(z, prepend=0) > 0]  # each excursion once; every z >= 1
-    limit = np.minimum(4 * ((n // z - 1) // 4) + 3, reach // z)
-    # the odd j in [1, limit] are 2 i + 1 for i < half
-    half = (limit + 1) // 2
-    i = np.arange(half.sum()) - np.repeat(np.cumsum(half) - half, half)
-    asked = np.zeros(reach + 1, dtype=bool)
-    asked[(2 * i + 1) * np.repeat(z, half)] = True
-    p = np.flatnonzero(asked)
-    low = normal_cdf(-p / math.sqrt(n))
-    table = np.full(2 * reach + 3, np.nan)
-    table[0], table[-1] = 0.0, 1.0
-    table[reach + 1 - p] = low
-    table[reach + 1 + p] = 1.0 - low
+    low = normal_cdf(-np.arange(_cdf_reach(n) + 2) / math.sqrt(n))
+    table = np.concatenate((low[::-1], 1.0 - low[1:]))
+    table.flags.writeable = False
     return table
 
 
@@ -672,27 +652,18 @@ def run_battery(
             f"need at least one block of {block_size} bits, got {n_bits}"
         )
     p_values: dict[str, list[float]] = {name: [] for name in COMPONENTS}
-    groups, excursions = [], []
     for rows in _groups(bits, block_size, n_blocks):
         group = _Blocks(rows, block_size, max(_SERIAL_M, _APPROXIMATE_ENTROPY_M + 1))
         p_values["monobit"] += frequency_monobit(group)
         p_values["block_frequency"] += block_frequency(group, _BLOCK_FREQUENCY_LEN)
         p_values["runs"] += runs(group)
         p_values["longest_run"] += longest_run_of_ones(group)
+        p_values["cumulative_sums_forward"] += cumulative_sums(group, "forward")
+        p_values["cumulative_sums_backward"] += cumulative_sums(group, "backward")
         p_values["approximate_entropy"] += approximate_entropy(group, _APPROXIMATE_ENTROPY_M)
         serial_1, serial_2 = serial(group, _SERIAL_M)
         p_values["serial_1"] += serial_1
         p_values["serial_2"] += serial_2
-        # Walk the group, then let its bits go: cumulative sums waits for
-        # the normal CDF at every block's points.
-        excursions.extend(group.excursions.values())
-        group.drop_bits()
-        groups.append(group)
-    cdf = _cusum_cdf(block_size, np.concatenate(excursions))
-    for group in groups:
-        group.cdf = cdf
-        p_values["cumulative_sums_forward"] += cumulative_sums(group, "forward")
-        p_values["cumulative_sums_backward"] += cumulative_sums(group, "backward")
     table = np.array([p_values[name] for name in COMPONENTS])
     return TestReport(block_size, significance, table, table >= significance)
 

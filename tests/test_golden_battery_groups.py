@@ -29,13 +29,13 @@ GOLDEN = {
     # 200 blocks of the battery-bulk size and 4 321 trailing bits.
     "uniform-200x20000": (
         200 * 20_000 + 4_321, 20_000,
-        "1a9c3b7f49d0ecfbfd603c4b37dda160a62a4f4d5eca62a038747b7a4a326dde",
+        "e84cd054336072547a6e7c90075a6e1cfc66cd23f835be63245d51c735c7f9c7",
         "b7bac21920a5a9a54a72e785f82b05dda6a0c6a033973ea5a65966645d63b48b",
     ),
     # 100 blocks of a size that is not a multiple of 8, and 5 trailing bits.
     "uniform-100x4099": (
         100 * 4_099 + 5, 4_099,
-        "32b44ed8623b3c89fe2619667782b39ab1c89c8cb1f7676e2e49354b9de8294f",
+        "a1b5ff6ad7f894f1e307fc1d4ad7c06533f3971cbbf23e426dba74f3f66ec406",
         "a8e579a1bfa2543e9c77ab8b896e4610bf344e00f51ac3af37956bfb69369396",
     ),
 }

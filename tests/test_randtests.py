@@ -52,8 +52,9 @@ E_128 = (
 )
 
 # Expected p-values computed with independent high-precision arithmetic
-# (scipy reference implementations of erfc/igamc on the documented inputs);
-# they agree with the suite's published worked-example values to 1e-4.
+# (scipy reference implementations of erfc/igamc on the documented inputs;
+# 40-digit arithmetic for the cumulative sums of pi); they agree with the
+# suite's published worked-example values to 1e-4.
 FROZEN = {
     "monobit_short": 0.5270892568655381,
     "monobit_pi": 0.109598583399116,
@@ -61,6 +62,8 @@ FROZEN = {
     "runs": 0.14723225536366571,
     "longest_run": 0.18059797678555792,
     "cusum_forward": 0.4116586191538023,
+    "cusum_pi_forward": 0.21919399348562656,
+    "cusum_pi_backward": 0.11486621530252159,
     "approximate_entropy": 0.2619611048816654,
     "serial_1": 0.8087921354109989,
     "serial_2": 0.6703200460356398,
@@ -73,6 +76,8 @@ PUBLISHED = {
     "runs": 0.147232,
     "longest_run": 0.180609,
     "cusum_forward": 0.4116588,
+    "cusum_pi_forward": 0.219194,
+    "cusum_pi_backward": 0.114866,
     "approximate_entropy": 0.261961,
     "serial_1": 0.808792,
     "serial_2": 0.670320,
@@ -125,6 +130,13 @@ class TestWorkedExamples:
         # floor on floats would add k = -1 and k = -2 as well.
         p = cumulative_sums("1011010111", "forward")
         assert p == pytest.approx(PUBLISHED["cusum_forward"], abs=5e-7)
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_cumulative_sums_hundred_bits(self, direction):
+        # SP 800-22 section 2.13.8: the first hundred bits of pi
+        p = cumulative_sums(PI_100, direction)
+        assert p == pytest.approx(FROZEN[f"cusum_pi_{direction}"], abs=1e-9)
+        assert p == pytest.approx(PUBLISHED[f"cusum_pi_{direction}"], abs=1e-4)
 
     def test_approximate_entropy(self):
         p = approximate_entropy("0100110101", m=3)
@@ -385,49 +397,43 @@ class TestCumulativeSumsKernels:
     @given(st.integers(2, 10**7))
     def test_cusum_cdf_at_edges(self, n):
         reach = _cdf_reach(n)
-        # excursion 1 reads the odd points out to 4 ((n - 1) // 4) + 3 within
-        # the reach; excursion reach reads +-reach once a block is that long
-        table = _cusum_cdf(n, np.array([1, reach]))
+        table = _cusum_cdf(n)
         assert len(table) == 2 * reach + 3
+        assert not table.flags.writeable  # shared by every block of length n
         sqrt_n = math.sqrt(n)
-        edges = [-reach - 1, -1, 1, reach + 1] + ([-reach, reach] if n >= reach else [])
-        for p in edges:
+        for p in (-reach - 1, -reach, -1, 1, reach, reach + 1):
             assert table[p + reach + 1].hex() == normal_cdf(p / sqrt_n).hex(), p
         # every |p| beyond reach reads the end entries: exactly 0.0 and 1.0
         assert (table[0], table[-1]) == (0.0, 1.0)
         assert normal_cdf(-(reach + 1) / sqrt_n) == 0.0
         assert normal_cdf((reach + 1) / sqrt_n) == 1.0
-        # and no point that was not asked for is evaluated
-        odd = range(1, min(4 * ((n - 1) // 4) + 3, reach) + 1, 2)
-        asked = {*odd, *(-j for j in odd), *edges}
-        assert (np.flatnonzero(~np.isnan(table)) - reach - 1).tolist() == sorted(asked)
 
-    @given(
-        st.integers(2, 10**6).flatmap(
-            lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), max_size=4))
-        )
-    )
-    @example((2, [2]))
-    @example((20_000, [48, 201, 201, 562]))
-    def test_cusum_cdf_holds_exactly_the_points_read(self, case):
-        n, others = case
-        z = [1, *others]
+    @given(st.integers(2, 10**6))
+    @example(2)
+    @example(20_000)
+    def test_cusum_cdf_matches_the_scalar_at_both_signs(self, n):
         reach = _cdf_reach(n)
-        table = _cusum_cdf(n, np.array(z))
-        expected = {-reach - 1, reach + 1}
-        for step in set(z):
-            last = 4 * ((n // step - 1) // 4) + 3
-            expected.update(
-                j * step for j in range(-last, last + 1, 2) if abs(j * step) <= reach
-            )
-        points = (np.flatnonzero(~np.isnan(table)) - reach - 1).tolist()
-        assert points == sorted(expected)
-        # each entry is the scalar normal CDF, bit for bit, at both signs
+        table = _cusum_cdf(n)
         sqrt_n = math.sqrt(n)
-        magnitudes = sorted({abs(p) for p in points})
-        for p in random.Random(n).sample(magnitudes, min(len(magnitudes), 48)):
+        for p in random.Random(n).sample(range(reach + 2), min(reach + 2, 48)):
             for signed in (-p, p):
                 assert table[signed + reach + 1].hex() == normal_cdf(signed / sqrt_n).hex(), signed
+
+    def test_battery_builds_one_cdf_table_per_block_length(self, monkeypatch):
+        calls = []
+
+        def counting_normal_cdf(x):
+            calls.append(np.size(x))
+            return normal_cdf(x)
+
+        monkeypatch.setattr(randtests, "normal_cdf", counting_normal_cdf)
+        _cusum_cdf.cache_clear()
+        stream = BitStream.from_bits(ideal_bits(40 * 20_000, seed=7))
+        assert len(list(randtests._groups(stream, 20_000, 40))) == 4
+        run_battery(stream, 20_000)
+        assert calls == [_cdf_reach(20_000) + 2]
+        run_battery(stream, 10_000)
+        assert calls[1:] == [_cdf_reach(10_000) + 2]
 
 
 class TestPreconditions:
