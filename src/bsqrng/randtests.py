@@ -3,12 +3,13 @@ given significance (default 0.01).
 
 Seven tests of the standard battery are implemented: frequency (monobit),
 block frequency, runs, longest run of ones, cumulative sums (both
-directions), approximate entropy and serial. Each returns a p-value in
-[0, 1]; a block passes a test when every p-value of that test is at or above
-the significance level. The remaining tests of the full battery are reported
-as not run. A ``TestReport`` holds a battery's results as two read-only
-arrays of shape ``(len(COMPONENTS), n_blocks)``, ``p_values`` (float64) and
-``passed`` (bool): row i is ``COMPONENTS[i]`` and column b is block b.
+directions), approximate entropy and serial. Given bits, each returns a
+p-value in [0, 1]; a block passes a test when every p-value of that test is
+at or above the significance level. The remaining tests of the full battery
+are reported as not run. A ``TestReport`` holds a battery's results as two
+read-only arrays of shape ``(len(COMPONENTS), n_blocks)``, ``p_values``
+(float64) and ``passed`` (bool): row i is ``COMPONENTS[i]`` and column b is
+block b.
 
 The battery evaluates a group of equal blocks at a time (``_Blocks``), held
 as ``(k, ceil(n / 8))`` rows of bytes, each block packed MSB first: the one
@@ -16,19 +17,25 @@ bit representation of the battery. When n is a multiple of 8 the rows are a
 view of the ``BitStream`` payload, with no copy; otherwise each group's rows
 are shifted into place once (``_shifted``). A test given plain bits packs
 them once and runs the same kernels on a group of one block. Each integer
-statistic is one row-wise array operation over the group, and each test
-then returns one p-value per block: ones and runs' transitions are popcounts
-(a row xor itself shifted by one bit marks each change), block frequency and
-longest run share the sub-blocks, a reshape of the rows when their length is
-whole bytes, the longest run of each sub-block is read from a table of the
-longest run in every 16-bit pair of neighbouring bytes (``_longest_runs``),
-and the pattern counts from 32-bit words of the rows. A group holds about
-``_GROUP_BITS`` = 2^18 bits, 32 kB, so memory is bounded by a group, not by
-the input. Cumulative sums reads the normal CDF from one table per block
-length, evaluated in one call, once per |p| out to where the CDF is exactly
-0 or 1: at -|p|, with +|p| its reflection. Every p-value is the same, bit
-for bit, as a block-by-block evaluation gives: float sums run over each row
-in the order a one-block sum would.
+statistic is one row-wise array operation over the group: ones and runs'
+transitions are popcounts (a row xor itself shifted by one bit marks each
+change), block frequency and longest run share the sub-blocks, a reshape of
+the rows when their length is whole bytes, the longest run of each sub-block
+is read from a table of the longest run in every 16-bit pair of neighbouring
+bytes (``_longest_runs``), and the pattern counts from 32-bit words of the
+rows. A group holds about ``_GROUP_BITS`` = 2^18 bits, 32 kB, so memory is
+bounded by a group, not by the input.
+
+Given a group, a test returns its statistic for each block (``_Statistic``),
+not p-values. ``run_battery`` keeps every group's statistics, a few numbers a
+block, and turns each test's into p-values once, after the last group, by
+the same function the test applies to plain bits: one incomplete gamma call
+for each chi-square component, whatever the number of blocks. Cumulative
+sums evaluates the normal CDF in one call a battery, once at each |p| some
+block reads, out to where the CDF is exactly 0 or 1: at -|p|, with +|p| its
+reflection. Every p-value is the same, bit for bit, as a block-by-block
+evaluation gives: float sums run over each row in the order a one-block sum
+would.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,6 +55,9 @@ from .special import erfc, gammainc_upper, normal_cdf
 # by timing run_battery on 200 blocks of 20 000 bits: 2^18 ran fastest of
 # 2^17 .. 2^20.
 _GROUP_BITS = 1 << 18
+# Terms per chunk of cumulative-sums rows: 2^15 raised run_battery's peak
+# traced memory on 200 blocks of 20 000 bits by 0.6 MB, 2^13 not at all.
+_CUSUM_TERMS = 1 << 13
 
 
 class InsufficientDataError(ValueError):
@@ -140,8 +151,8 @@ class _Blocks:
     first, each row's last byte padded with zeros; ``_packed_rows`` makes
     them, as a view of the stream's payload when the blocks fall on byte
     edges. ``run_battery`` hands a group to each public test function, which
-    then returns one p-value per block; given plain bits, a test packs them
-    into a group of one block, and returns its p-value alone. Statistics are
+    then returns its statistic for every block; given plain bits, a test
+    packs them into a group of one block, and returns its p-value. Statistics are
     computed on first use, for every block of the group at once; the
     sub-blocks of one length are laid out once for every test that reads
     them.
@@ -233,9 +244,27 @@ def _blocks_of(bits, max_m: int = 1) -> _Blocks:
     return _Blocks(_packed_rows(stream, 0, stream.length, 1), stream.length, max_m)
 
 
-def _per_block(bits, values: list[float]):
-    """All of ``values`` for a group, its one value for plain bits."""
-    return values if isinstance(bits, _Blocks) else values[0]
+class _Statistic(NamedTuple):
+    """A test's statistic for each block of a group, blocks on the first
+    axis, and ``to_p``, which turns statistics of blocks of the group's
+    length into p-values, blocks on the first axis too. The battery joins
+    every group's statistics and calls ``to_p`` once."""
+
+    values: np.ndarray
+    to_p: Callable[[np.ndarray], np.ndarray]
+
+
+def _finish(bits, values: np.ndarray, to_p: Callable[[np.ndarray], np.ndarray]):
+    """For a group, its statistic; for plain bits, the p-value of its one
+    block (a list of them for a test of several components)."""
+    if isinstance(bits, _Blocks):
+        return _Statistic(values, to_p)
+    return to_p(values)[0].tolist()
+
+
+def _chi_square_p(dof: int, chi_sq: np.ndarray) -> np.ndarray:
+    """The upper tail of the chi-square law with ``dof`` degrees of freedom."""
+    return gammainc_upper(dof / 2.0, chi_sq / 2.0)
 
 
 def _pattern_counts(packed: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -298,8 +327,12 @@ def frequency_monobit(bits, *, min_length: int = 100):
     n = group.n
     if n < min_length:
         raise InsufficientDataError(f"monobit needs at least {min_length} bits, got {n}")
+    return _finish(bits, group.ones, functools.partial(_monobit_p, n))
+
+
+def _monobit_p(n: int, ones: np.ndarray) -> np.ndarray:
     scale = math.sqrt(2.0 * n)
-    return _per_block(bits, [erfc(abs(2.0 * ones - n) / scale) for ones in group.ones.tolist()])
+    return np.array([erfc(abs(2.0 * k - n) / scale) for k in ones.tolist()])
 
 
 def block_frequency(bits, block_len: int = 128):
@@ -315,9 +348,7 @@ def block_frequency(bits, block_len: int = 128):
     ones = np.bitwise_count(group.sub_blocks(block_len)).sum(axis=0, dtype=np.int64)
     proportions = ones / block_len
     chi_sq = 4.0 * block_len * ((proportions - 0.5) ** 2).sum(axis=1)
-    return _per_block(
-        bits, [gammainc_upper(n_blocks / 2.0, x / 2.0) for x in chi_sq.tolist()]
-    )
+    return _finish(bits, chi_sq, functools.partial(_chi_square_p, n_blocks))
 
 
 def runs(bits):
@@ -326,8 +357,14 @@ def runs(bits):
     n = group.n
     if n < 2:
         raise InsufficientDataError(f"runs needs at least 2 bits, got {n}")
+    counts = np.stack((group.ones, _changes(group.packed, n) + 1), axis=1)
+    return _finish(bits, counts, functools.partial(_runs_p, n))
+
+
+def _runs_p(n: int, counts: np.ndarray) -> np.ndarray:
+    """The runs p-value of each block from its ones and its runs, ``counts[:, 0]`` and ``[:, 1]``."""
     p_values = []
-    for ones, v in zip(group.ones.tolist(), (_changes(group.packed, n) + 1).tolist()):
+    for ones, v in counts.tolist():
         pi = ones / n
         if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
             p_values.append(0.0)  # frequency pre-test failed; runs statistic is meaningless
@@ -336,7 +373,7 @@ def runs(bits):
             abs(v - 2.0 * n * pi * (1.0 - pi))
             / (2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi))
         ))
-    return _per_block(bits, p_values)
+    return np.array(p_values)
 
 
 def _changes(packed: np.ndarray, n: int) -> np.ndarray:
@@ -373,9 +410,7 @@ def longest_run_of_ones(bits):
     counts = np.bincount(category.ravel(), minlength=group.k * n_cats).reshape(group.k, n_cats)
     expected = longest.shape[1] * np.asarray(pi_table)
     chi_sq = ((counts - expected) ** 2 / expected).sum(axis=1)
-    return _per_block(
-        bits, [gammainc_upper((n_cats - 1) / 2.0, x / 2.0) for x in chi_sq.tolist()]
-    )
+    return _finish(bits, chi_sq, functools.partial(_chi_square_p, n_cats - 1))
 
 
 def _longest_runs(sub_blocks: np.ndarray, cap: int) -> np.ndarray:
@@ -412,15 +447,27 @@ def cumulative_sums(bits, direction: str = "forward"):
         raise InsufficientDataError(f"cumulative sums needs at least 2 bits, got {n}")
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    cdf = _cusum_cdf(n)
-    z = group.excursions[direction]
-    # Each row's terms are padded to the longest row's, the one of least z:
-    # a few rows at a time keep them near a group's size.
-    step = max(1, _GROUP_BITS // (8 * (n // int(z.min()) + 4)))
-    totals = np.concatenate([
-        _cusum_totals(n, z[first : first + step], cdf) for first in range(0, len(z), step)
-    ])
-    return _per_block(bits, [min(max(total, 0.0), 1.0) for total in totals.tolist()])
+    return _finish(bits, group.excursions[direction], functools.partial(_cusum_p, n))
+
+
+def _cusum_p(n: int, z: np.ndarray) -> np.ndarray:
+    """The cumulative-sums p-value of each block of n bits with excursion z, any shape."""
+    reach = _cdf_reach(n)
+    flat = z.ravel()
+    cdf = _cusum_cdf(n, flat, reach)
+    totals = np.empty(flat.size)
+    # Each row's terms are padded to the widest row's in its chunk: rows in
+    # order of z, widest first, a few at a time. (Python's sort and set
+    # here: the first np.argsort or np.unique of a process maps some 0.1 to
+    # 1 MB of numpy's code, which showed in the battery's peak RSS.)
+    order = np.array(sorted(range(flat.size), key=flat.tolist().__getitem__), dtype=np.intp)
+    first = 0
+    while first < flat.size:
+        width = 4 * int(_cusum_top(n, flat[order[first]], reach)) + 4
+        rows = order[first : first + max(1, _CUSUM_TERMS // width)]
+        totals[rows] = _cusum_totals(n, flat[rows], cdf)
+        first += rows.size
+    return np.clip(totals, 0.0, 1.0).reshape(z.shape)
 
 
 # Summation limits in integer arithmetic truncated toward zero, as in the
@@ -428,13 +475,21 @@ def cumulative_sums(bits, direction: str = "forward"):
 #   p = 1 - sum_{k=-top}^{top} [phi(4k+1) - phi(4k-1)]
 #         + sum_{k=-top-1}^{top} [phi(4k+3) - phi(4k+1)],
 # phi(j) = normal_cdf(j z / sqrt(n)). The sums read phi at the odd j with
-# |j| <= 4 top + 3.
+# |j| <= 4 top + 3, at p = j z.
+
+
+def _cusum_top(n: int, z, reach: int):
+    """The sums' top for excursion z, cut to the first k whose terms read
+    phi only beyond the reach: phi is 0.0 or 1.0 there at both ends of a
+    term, so the terms past the cut are exact zeros, and leaving them out
+    of the running sum changes no rounding."""
+    return np.minimum((n // z - 1) // 4, (reach // z) // 4 + 1)
 
 
 def _cusum_totals(n: int, z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """The unclipped cumulative-sums p-value of each block of n bits with excursion z."""
     reach = (len(cdf) - 3) // 2
-    top = (n // z - 1) // 4
+    top = _cusum_top(n, z, reach)
     last = 4 * top[:, None] + 3
     # Row by row, phi at j = -4 top - 3, -4 top - 1, ..., 4 top + 3, then
     # repeated at 4 top + 3 out to the longest row: a term past the row's
@@ -457,21 +512,30 @@ def _cdf_reach(n: int) -> int:
     return reach
 
 
-@functools.lru_cache(maxsize=1)
-def _cusum_cdf(n: int) -> np.ndarray:
-    """Read-only table of ``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for
-    every |p| <= reach + 1, the normal CDF that cumulative sums reads on
-    blocks of n bits; its ends are exactly 0.0 and 1.0, the value at every
-    |p| > reach. Kept for the last n asked, so a battery builds it once.
+def _cusum_cdf(n: int, z: np.ndarray, reach: int) -> np.ndarray:
+    """Table of ``normal_cdf(p / sqrt(n))`` at ``p + reach + 1`` for |p| <=
+    reach + 1, at every p that cumulative sums reads on blocks of n bits
+    with excursions z, and NaN at every other |p| <= reach. Its ends are
+    exactly 0.0 and 1.0, the value at every |p| > reach.
 
-    One array call evaluates each |p| once, at -|p|; +|p| gets 1.0 minus that,
-    the same double: for x > 0, normal_cdf(x) = 0.5 (2 - e) and normal_cdf(-x)
-    = 0.5 e with e = erfc(x / sqrt(2)) <= 1, and halving is exact and keeps the
-    rounding grid, so 0.5 (2 - e) and 1 - 0.5 e round alike.
+    One array call evaluates each |p| read once, at -|p|; +|p| gets 1.0
+    minus that, the same double: for x > 0, normal_cdf(x) = 0.5 (2 - e) and
+    normal_cdf(-x) = 0.5 e with e = erfc(x / sqrt(2)) <= 1, and halving is
+    exact and keeps the rounding grid, so 0.5 (2 - e) and 1 - 0.5 e round
+    alike.
     """
-    low = normal_cdf(-np.arange(_cdf_reach(n) + 2) / math.sqrt(n))
-    table = np.concatenate((low[::-1], 1.0 - low[1:]))
-    table.flags.writeable = False
+    z = np.fromiter(set(z.tolist()), dtype=np.int64)  # each excursion once
+    # each z reads its odd multiples j z, j <= 4 top + 3, out to the reach
+    count = (np.minimum(4 * _cusum_top(n, z, reach) + 3, reach // z) + 1) // 2
+    j = 2 * (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)) + 1
+    read = np.zeros(reach + 1, dtype=bool)
+    read[np.repeat(z, count) * j] = True
+    p = np.flatnonzero(read)
+    low = normal_cdf(-p / math.sqrt(n))
+    table = np.full(2 * reach + 3, np.nan)
+    table[0], table[-1] = 0.0, 1.0
+    table[reach + 1 - p] = low
+    table[reach + 1 + p] = 1.0 - low
     return table
 
 
@@ -500,10 +564,8 @@ def approximate_entropy(bits, m: int = 4):
         )
     counts = group.counts
     ap_en = _sum_p_log_p(counts[m], n) - _sum_p_log_p(counts[m + 1], n)
-    return _per_block(bits, [
-        gammainc_upper(2.0 ** (m - 1), 2.0 * n * (math.log(2.0) - x) / 2.0)
-        for x in ap_en.tolist()
-    ])
+    chi_sq = 2.0 * n * (math.log(2.0) - ap_en)
+    return _finish(bits, chi_sq, functools.partial(_chi_square_p, 2**m))
 
 
 def serial(bits, m: int = 5):
@@ -526,9 +588,16 @@ def serial(bits, m: int = 5):
 
     delta1 = psi_sq(m) - psi_sq(m - 1)
     delta2 = psi_sq(m) - 2.0 * psi_sq(m - 1) + psi_sq(m - 2)
-    p1 = [gammainc_upper(2.0 ** (m - 2), x / 2.0) for x in delta1.tolist()]
-    p2 = [gammainc_upper(2.0 ** (m - 3), x / 2.0) for x in delta2.tolist()]
-    return (p1, p2) if isinstance(bits, _Blocks) else (p1[0], p2[0])
+    p = _finish(bits, np.stack((delta1, delta2), axis=1), functools.partial(_serial_p, m))
+    return p if isinstance(bits, _Blocks) else tuple(p)
+
+
+def _serial_p(m: int, deltas: np.ndarray) -> np.ndarray:
+    """Both serial p-values of each block from its two differences, ``deltas[:, 0]`` and ``[:, 1]``."""
+    return np.stack(
+        (_chi_square_p(2 ** (m - 1), deltas[:, 0]), _chi_square_p(2 ** (m - 2), deltas[:, 1])),
+        axis=1,
+    )
 
 
 # Per-test parameters of the battery; valid for blocks of 1e4 bits and up.
@@ -564,6 +633,10 @@ NOT_RUN = (
 )
 
 _CSV_HEADER = "test,block,p_value,pass"
+# Report CSV rows that parse_report_csv splits and converts at a time: all
+# 1 800 rows of a 200-block report at once raised the peak RSS of a
+# test-then-report process by about 0.4 MB.
+_CSV_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,20 +724,29 @@ def run_battery(
         raise InsufficientDataError(
             f"need at least one block of {block_size} bits, got {n_bits}"
         )
-    p_values: dict[str, list[float]] = {name: [] for name in COMPONENTS}
+    statistics: dict[str, list[_Statistic]] = {name: [] for name in LOGICAL_TESTS}
     for rows in _groups(bits, block_size, n_blocks):
         group = _Blocks(rows, block_size, max(_SERIAL_M, _APPROXIMATE_ENTROPY_M + 1))
-        p_values["monobit"] += frequency_monobit(group)
-        p_values["block_frequency"] += block_frequency(group, _BLOCK_FREQUENCY_LEN)
-        p_values["runs"] += runs(group)
-        p_values["longest_run"] += longest_run_of_ones(group)
-        p_values["cumulative_sums_forward"] += cumulative_sums(group, "forward")
-        p_values["cumulative_sums_backward"] += cumulative_sums(group, "backward")
-        p_values["approximate_entropy"] += approximate_entropy(group, _APPROXIMATE_ENTROPY_M)
-        serial_1, serial_2 = serial(group, _SERIAL_M)
-        p_values["serial_1"] += serial_1
-        p_values["serial_2"] += serial_2
-    table = np.array([p_values[name] for name in COMPONENTS])
+        statistics["monobit"].append(frequency_monobit(group))
+        statistics["block_frequency"].append(block_frequency(group, _BLOCK_FREQUENCY_LEN))
+        statistics["runs"].append(runs(group))
+        statistics["longest_run"].append(longest_run_of_ones(group))
+        # both directions in one statistic, so that one table serves them
+        forward = cumulative_sums(group, "forward")
+        backward = cumulative_sums(group, "backward")
+        statistics["cumulative_sums"].append(
+            forward._replace(values=np.stack((forward.values, backward.values), axis=1))
+        )
+        statistics["approximate_entropy"].append(
+            approximate_entropy(group, _APPROXIMATE_ENTROPY_M)
+        )
+        statistics["serial"].append(serial(group, _SERIAL_M))
+    # each test's p-values from every block's statistic at once, as rows in
+    # COMPONENTS order
+    table = np.concatenate([
+        parts[0].to_p(np.concatenate([part.values for part in parts])).reshape(n_blocks, -1).T
+        for parts in statistics.values()
+    ])
     return TestReport(block_size, significance, table, table >= significance)
 
 
@@ -679,32 +761,80 @@ def parse_report_csv(text: str) -> TestReport:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _CSV_HEADER:
         raise ValueError("not a battery report CSV (unexpected header)")
-    results = {}
-    for ln in lines[1:]:
+    rows = lines[1:]
+    report = _report_from_columns(rows)
+    if report is None:
+        raise _first_fault(rows)
+    return report
+
+
+def _report_from_columns(rows: list[str]) -> TestReport | None:
+    """The report of well-formed rows, checked and converted a column at a
+    time, ``_CSV_CHUNK_ROWS`` rows at a time; None if any check fails."""
+    if not rows:
+        return None
+    index = {name: i for i, name in enumerate(COMPONENTS)}
+    chunks = []
+    for first in range(0, len(rows), _CSV_CHUNK_ROWS):
+        fields = [ln.split(",") for ln in rows[first : first + _CSV_CHUNK_ROWS]]
+        if set(map(len, fields)) != {4}:
+            return None
+        tests, block_fields, p_fields, flags = zip(*fields)
+        if not index.keys() >= set(tests) or not {"0", "1"} >= set(flags):
+            return None
+        try:
+            chunks.append([
+                np.fromiter(map(index.__getitem__, tests), dtype=np.int64, count=len(fields)),
+                np.fromiter(map(int, block_fields), dtype=np.int64, count=len(fields)),
+                np.fromiter(map(float, p_fields), dtype=float, count=len(fields)),
+                np.fromiter(map("1".__eq__, flags), dtype=bool, count=len(fields)),
+            ])
+        except (ValueError, OverflowError):
+            return None
+    component, blocks, p_values, passed = map(np.concatenate, zip(*chunks))
+    if blocks.min() < 0 or not ((0.0 <= p_values) & (p_values <= 1.0)).all():
+        return None
+    # every (component, block) cell exactly once
+    shape = (len(COMPONENTS), int(blocks.max()) + 1)
+    if len(rows) != shape[0] * shape[1]:
+        return None
+    cells = component * shape[1] + blocks
+    if np.bincount(cells).max() > 1:
+        return None
+    table = np.empty(shape)
+    table.flat[cells] = p_values
+    flags = np.empty(shape, dtype=bool)
+    flags.flat[cells] = passed
+    return TestReport(0, 0.01, table, flags)
+
+
+def _first_fault(rows: list[str]) -> ValueError:
+    """The error for rows that do not make a report, naming the first row at
+    fault: the rows are checked one by one, then for a missing row."""
+    seen = set()
+    for ln in rows:
         try:
             test, block_field, p_field, passed = ln.split(",")
             block, p_value = int(block_field), float(p_field)
         except ValueError:
-            raise ValueError(f"battery report CSV: malformed row {ln!r}") from None
+            return ValueError(f"battery report CSV: malformed row {ln!r}")
         if (
             test not in COMPONENTS
             or block < 0
             or not 0.0 <= p_value <= 1.0
             or passed not in ("0", "1")
         ):
-            raise ValueError(f"battery report CSV: unexpected row {ln!r}")
-        if (test, block) in results:
-            raise ValueError(f"battery report CSV: duplicate row for {test} block {block}")
-        results[(test, block)] = (p_value, passed == "1")
-    if not results:
-        raise ValueError("battery report CSV holds no result rows")
-    n_blocks = max(blk for _, blk in results) + 1
-    # the rows are distinct and in range, so a full count means no row is missing
-    if len(results) < len(COMPONENTS) * n_blocks:
-        for blk in range(n_blocks):
-            for name in COMPONENTS:
-                if (name, blk) not in results:
-                    raise ValueError(f"battery report CSV: no row for {name} block {blk}")
-    p_values, passed = zip(*[results[name, blk] for name in COMPONENTS for blk in range(n_blocks)])
-    shape = (len(COMPONENTS), n_blocks)
-    return TestReport(0, 0.01, np.reshape(p_values, shape), np.reshape(passed, shape))
+            return ValueError(f"battery report CSV: unexpected row {ln!r}")
+        if (test, block) in seen:
+            return ValueError(f"battery report CSV: duplicate row for {test} block {block}")
+        seen.add((test, block))
+    if not seen:
+        return ValueError("battery report CSV holds no result rows")
+    # every row passed its checks, so some (component, block) has no row
+    name, blk = next(
+        (name, blk)
+        for blk in range(max(b for _, b in seen) + 1)
+        for name in COMPONENTS
+        if (name, blk) not in seen
+    )
+    return ValueError(f"battery report CSV: no row for {name} block {blk}")

@@ -13,10 +13,15 @@ relative agreement against an independent reference for shapes up to
 prefactor's exponent, a sum of terms near a ln a, sets the error: 5e-9 is
 pinned at shape 390 625 and 1e-9 at mean 1e5.
 
-All take scalars. ``normal_cdf`` also takes a float array and then returns
-the scalar function's value for every element, bit for bit: it takes
+``erfc`` and ``poisson_cdf`` take scalars. ``normal_cdf`` and
+``gammainc_upper`` also take float arrays, and then return the scalar
+function's value for every element, bit for bit. ``normal_cdf`` takes
 ``erfc``'s branch for each element, ``math.erfc`` of the element or of its
-negation, and reflects the negative ones.
+negation, and reflects the negative ones. ``gammainc_upper`` runs each kernel
+on many elements at once, in the scalar kernel's order of operations: the
+series a block of steps at a time, through numpy's in-order accumulations,
+and the continued fraction in lockstep, each element read at its own last
+step. The prefactor is the scalar's libm expression per element.
 """
 
 from __future__ import annotations
@@ -28,6 +33,15 @@ import numpy as np
 _MAX_ITER = 500
 _EPS = 1e-17
 _TINY = 1e-300
+# Below this many elements the array form of gammainc_upper maps the scalar
+# function over them: its lockstep pays some microseconds a step whatever the
+# size. Timed on a 2-CPU x86 box, one call at each of the battery's five
+# shapes on chi-square arguments, scalar against lockstep: 0.31 against
+# 1.35 ms at 17 elements a call, 1.84 against 2.01 ms at 100, 2.60 against
+# 2.04 ms at 130, 3.75 against 2.31 ms at 200.
+_ARRAY_MIN_SIZE = 100
+# Series steps the array form takes at a time.
+_SERIES_STEPS = 32
 
 
 def erfc(x: float) -> float:
@@ -36,8 +50,14 @@ def erfc(x: float) -> float:
     return 2.0 - math.erfc(-x) if x < 0.0 else math.erfc(x)
 
 
-def gammainc_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
+def gammainc_upper(a, x):
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
+
+    Takes floats, or float arrays that broadcast together; an array gives
+    the scalar value of each element, bit for bit.
+    """
+    if isinstance(a, np.ndarray) or isinstance(x, np.ndarray):
+        return _gammainc_upper_array(a, x)
     _check_gamma_args(a, x)
     if x == 0.0:
         return 1.0
@@ -92,6 +112,122 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
     else:
         raise ArithmeticError(f"incomplete gamma fraction did not converge at a={a}, x={x}")
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _gammainc_upper_array(a, x) -> np.ndarray:
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    shape = a.shape
+    a, x = a.ravel(), x.ravel()
+    if a.size < _ARRAY_MIN_SIZE:
+        q = np.fromiter(map(gammainc_upper, a.tolist(), x.tolist()), dtype=float, count=a.size)
+        return q.reshape(shape)
+    invalid = np.flatnonzero(~((0.0 < a) & (a < math.inf) & (0.0 <= x) & (x < math.inf)))
+    if invalid.size:
+        _check_gamma_args(a[invalid[0]].item(), x[invalid[0]].item())
+    q = np.ones(a.size)
+    with np.errstate(all="ignore"):  # the scalar kernels' float arithmetic never warns
+        series = np.flatnonzero((x != 0.0) & (x < a + 1.0))
+        if series.size:
+            a_s, x_s = a[series], x[series]
+            q[series] = 1.0 - _gamma_series_array(a_s, x_s) * _prefactors(a_s, x_s)
+        fraction = np.flatnonzero(x >= a + 1.0)
+        if fraction.size:
+            a_f, x_f = a[fraction], x[fraction]
+            q[fraction] = _gamma_continued_fraction_array(a_f, x_f) * _prefactors(a_f, x_f)
+    return q.reshape(shape)
+
+
+def _prefactors(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The scalar kernels' exp(-x + a ln x - lgamma(a)) at each element, through libm."""
+    return np.fromiter(
+        (math.exp(-x + a * math.log(x) - math.lgamma(a)) for a, x in zip(a.tolist(), x.tolist())),
+        dtype=float,
+        count=a.size,
+    )
+
+
+def _step_limits(a: np.ndarray) -> np.ndarray:
+    """Each element's step cap, the scalar kernels' 500 + 16 ceil(sqrt(a))."""
+    return _MAX_ITER + 16 * np.ceil(np.sqrt(a))
+
+
+def _gamma_series_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_gamma_series``'s sum at each element, before its prefactor.
+
+    The rows still running take ``_SERIES_STEPS`` steps at a time. Each of
+    ap, the terms and the totals is a running sum or product along a row,
+    which numpy accumulates in order, so every rounding is the scalar
+    loop's; a row ends at its first step with term < total * eps.
+    """
+    total = np.empty(a.size)
+    rows = np.arange(a.size)
+    limits = _step_limits(a)
+    ap, term, run = a, 1.0 / a, 1.0 / a
+    taken = 0  # steps behind every running row
+    while rows.size:
+        aps = np.ones((rows.size, _SERIES_STEPS + 1))
+        aps[:, 0] = ap
+        np.add.accumulate(aps, axis=1, out=aps)
+        terms = x[:, None] / aps
+        terms[:, 0] = term
+        np.multiply.accumulate(terms, axis=1, out=terms)
+        totals = terms.copy()
+        totals[:, 0] = run
+        np.add.accumulate(totals, axis=1, out=totals)
+        stops = terms[:, 1:] < totals[:, 1:] * _EPS
+        stopped = stops.any(axis=1)
+        step = np.where(stopped, stops.argmax(axis=1), _SERIES_STEPS) + 1
+        late = np.flatnonzero(taken + step > limits)
+        if late.size:
+            raise ArithmeticError(
+                f"incomplete gamma series did not converge at a={a[late[0]]}, x={x[late[0]]}"
+            )
+        total[rows[stopped]] = totals[stopped, step[stopped]]
+        going = ~stopped
+        rows, a, x, limits = rows[going], a[going], x[going], limits[going]
+        ap, term, run = aps[going, -1], terms[going, -1], totals[going, -1]
+        taken += _SERIES_STEPS
+    return total
+
+
+def _gamma_continued_fraction_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_gamma_continued_fraction``'s h at each element, before its prefactor.
+
+    Every element takes each step, but h takes the step's factor only while
+    the element runs, so each keeps the h of the step where it stops.
+    """
+    limits = _step_limits(a)
+    least_limit = limits.min()
+    b = x + 1.0 - a
+    c = np.full(a.size, 1.0 / _TINY)
+    d = 1.0 / b
+    h = d.copy()
+    running = np.ones(a.size, dtype=bool)
+    k = 0
+    while running.any():
+        k += 1
+        if k >= least_limit and (running & (k >= limits)).any():
+            running &= k >= limits  # out of steps before stopping
+            break
+        an = -k * (k - a)
+        b += 2.0
+        d *= an
+        d += b
+        d[np.abs(d) < _TINY] = _TINY
+        np.divide(an, c, out=c)
+        c += b
+        c[np.abs(c) < _TINY] = _TINY
+        np.divide(1.0, d, out=d)
+        delta = d * c
+        np.multiply(h, delta, out=h, where=running)
+        delta -= 1.0
+        running[np.abs(delta, out=delta) < _EPS] = False
+    else:
+        return h
+    first = np.flatnonzero(running)[0]
+    raise ArithmeticError(
+        f"incomplete gamma fraction did not converge at a={a[first]}, x={x[first]}"
+    )
 
 
 def normal_cdf(x):

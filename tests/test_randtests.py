@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -22,6 +23,7 @@ from bsqrng.randtests import (
     _cdf_reach,
     _changes,
     _cusum_cdf,
+    _cusum_p,
     _longest_runs,
     _packed_rows,
     _pattern_counts,
@@ -35,7 +37,7 @@ from bsqrng.randtests import (
     runs,
     serial,
 )
-from bsqrng.special import normal_cdf
+from bsqrng.special import gammainc_upper, normal_cdf
 
 # First hundred bits of the binary expansion of pi, as used in the reference
 # suite's frequency example.
@@ -381,7 +383,8 @@ class TestCumulativeSumsKernels:
         block = packed_group(bits[None, :])
         for direction in ("forward", "backward"):
             assert block.excursions[direction].tolist() == [direct_excursion(bits, direction)]
-            [shared] = cumulative_sums(block, direction)
+            statistic = cumulative_sums(block, direction)
+            [shared] = statistic.to_p(statistic.values).tolist()
             assert shared.hex() == cumulative_sums(bits, direction).hex(), direction
 
     @given(st.lists(st.lists(st.booleans(), min_size=2, max_size=40), min_size=1, max_size=5))
@@ -397,43 +400,94 @@ class TestCumulativeSumsKernels:
     @given(st.integers(2, 10**7))
     def test_cusum_cdf_at_edges(self, n):
         reach = _cdf_reach(n)
-        table = _cusum_cdf(n)
-        assert len(table) == 2 * reach + 3
-        assert not table.flags.writeable  # shared by every block of length n
-        sqrt_n = math.sqrt(n)
-        for p in (-reach - 1, -reach, -1, 1, reach, reach + 1):
-            assert table[p + reach + 1].hex() == normal_cdf(p / sqrt_n).hex(), p
+        # min(reach, n) reads the reach itself once n gets there; n reads
+        # p = n and 3 n, past the reach at large n; 1 reads every odd p
+        excursions = [min(reach, n), n] + ([1] if n <= 10**4 else [])
+        table = _cusum_cdf(n, np.array(excursions), reach)
+        read = cusum_reads(n, excursions)
+        assert min(reach, n) in read
+        assert_cdf_table_holds(n, table, read)
         # every |p| beyond reach reads the end entries: exactly 0.0 and 1.0
+        sqrt_n = math.sqrt(n)
         assert (table[0], table[-1]) == (0.0, 1.0)
         assert normal_cdf(-(reach + 1) / sqrt_n) == 0.0
         assert normal_cdf((reach + 1) / sqrt_n) == 1.0
 
-    @given(st.integers(2, 10**6))
-    @example(2)
-    @example(20_000)
-    def test_cusum_cdf_matches_the_scalar_at_both_signs(self, n):
-        reach = _cdf_reach(n)
-        table = _cusum_cdf(n)
-        sqrt_n = math.sqrt(n)
-        for p in random.Random(n).sample(range(reach + 2), min(reach + 2, 48)):
-            for signed in (-p, p):
-                assert table[signed + reach + 1].hex() == normal_cdf(signed / sqrt_n).hex(), signed
+    @given(
+        st.integers(2, 10**6).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(max(1, n // 2000), n), min_size=1, max_size=12)
+            )
+        )
+    )
+    @example((2, [1, 2]))
+    @example((20_000, [10, 141, 142, 500, 20_000]))
+    def test_cusum_cdf_matches_the_scalar_at_both_signs(self, n_and_excursions):
+        n, excursions = n_and_excursions
+        z = np.array(excursions)
+        assert_cdf_table_holds(n, _cusum_cdf(n, z, _cdf_reach(n)), cusum_reads(n, excursions))
+        # and the p-values are the sums of scalar normal_cdf terms, in order
+        assert [p.hex() for p in _cusum_p(n, z).tolist()] == [
+            cusum_by_scalar_terms(n, e).hex() for e in excursions
+        ]
 
     def test_battery_builds_one_cdf_table_per_block_length(self, monkeypatch):
-        calls = []
-
-        def counting_normal_cdf(x):
-            calls.append(np.size(x))
-            return normal_cdf(x)
-
-        monkeypatch.setattr(randtests, "normal_cdf", counting_normal_cdf)
-        _cusum_cdf.cache_clear()
-        stream = BitStream.from_bits(ideal_bits(40 * 20_000, seed=7))
+        # one normal_cdf call a battery, at each |p| some block reads, once
+        bits = ideal_bits(40 * 20_000, seed=7)
+        stream = BitStream.from_bits(bits)
         assert len(list(randtests._groups(stream, 20_000, 40))) == 4
-        run_battery(stream, 20_000)
-        assert calls == [_cdf_reach(20_000) + 2]
-        run_battery(stream, 10_000)
-        assert calls[1:] == [_cdf_reach(10_000) + 2]
+        for n in (20_000, 10_000):
+            calls = []
+            monkeypatch.setattr(randtests, "normal_cdf", lambda x: calls.append(x) or normal_cdf(x))
+            run_battery(stream, n)
+            excursions = [
+                direct_excursion(block, direction)
+                for block in bits.reshape(-1, n)
+                for direction in ("forward", "backward")
+            ]
+            [x] = calls
+            read = sorted(cusum_reads(n, excursions))
+            assert sorted(x.tolist(), reverse=True) == [-p / math.sqrt(n) for p in read]
+
+
+def cusum_reads(n, excursions):
+    """Every |p| <= reach at which cumulative sums reads the normal CDF on
+    blocks of n bits with these excursions: p = j z for the odd j up to
+    4 top + 3."""
+    reach = _cdf_reach(n)
+    read = set()
+    for z in set(excursions):
+        top = (n // z - 1) // 4
+        read.update(range(z, min((4 * top + 3) * z, reach) + 1, 2 * z))
+    return read
+
+
+def assert_cdf_table_holds(n, table, read):
+    """The table has the scalar normal_cdf at both signs of every |p| read,
+    and leaves every other |p| <= reach unevaluated."""
+    reach = _cdf_reach(n)
+    sqrt_n = math.sqrt(n)
+    assert len(table) == 2 * reach + 3
+    for p in read:
+        for signed in (-p, p):
+            assert table[signed + reach + 1].hex() == normal_cdf(signed / sqrt_n).hex(), signed
+    assert np.isnan(table).sum() == 1 + 2 * (reach - len(read))
+
+
+def cusum_by_scalar_terms(n, z):
+    """The cumulative-sums p-value, each term from scalar normal_cdf, added
+    in the kernel's order: 1, the first sum's terms, the second sum's."""
+    top = (n // z - 1) // 4
+
+    def phi(j):
+        return normal_cdf(j * z / math.sqrt(n))
+
+    total = 1.0
+    for k in range(-top, top + 1):
+        total += -(phi(4 * k + 1) - phi(4 * k - 1))
+    for k in range(-top - 1, top + 1):
+        total += phi(4 * k + 3) - phi(4 * k + 1)
+    return min(max(total, 0.0), 1.0)
 
 
 class TestPreconditions:
@@ -556,6 +610,33 @@ class TestBattery:
             parse_report_csv(csv + "rank,0,0.5,1\n")
         with pytest.raises(ValueError, match="no row for monobit block 1"):
             parse_report_csv(csv + "serial_2,1,0.5,1\n")
+
+    def test_csv_names_the_first_row_at_fault(self):
+        lines = run_battery(ideal_bits(3 * 2048, seed=8), 2048).to_csv().splitlines()
+        header, rows = lines[0], lines[1:]
+        for first, later, message in [
+            ("runs,0,1.5,1", "runs,x", "unexpected row 'runs,0,1.5,1'"),
+            ("runs,1,0.5", "rank,0,0.5,1", "malformed row 'runs,1,0.5'"),
+            (rows[0], "runs,-1,0.5,1", "duplicate row for monobit block 0"),
+            ("monobit,99999999999999999999,0.5,1", rows[9], "no row for monobit block 3"),
+            ("monobit,9223372036854775807,0.5,1", rows[9], "no row for monobit block 3"),
+        ]:
+            bad = [header, *rows[:5], first, *rows[5:9], later, *rows[10:]]
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse_report_csv("\n".join(bad))
+        # a negative block in place of a row, so that the count is whole
+        with pytest.raises(ValueError, match=re.escape("unexpected row 'monobit,-1,0.5,1'")):
+            parse_report_csv("\n".join([header, "monobit,-1,0.5,1", *rows[1:]]))
+
+    def test_csv_rows_in_any_order_give_the_report(self):
+        # 360 rows: more than one chunk of rows is checked
+        report = run_battery(ideal_bits(40 * 2048, seed=8), 2048)
+        assert len(COMPONENTS) * report.n_blocks > randtests._CSV_CHUNK_ROWS
+        header, *rows = report.to_csv().splitlines()
+        random.Random(5).shuffle(rows)
+        parsed = parse_report_csv("\n".join([header, *rows]))
+        assert np.array_equal(parsed.p_values, report.p_values)
+        assert np.array_equal(parsed.passed, report.passed)
 
 
 def block_by_block(bits, block_size, n_blocks):
@@ -682,11 +763,57 @@ class TestGroupedBattery:
         assert kept <= 16 * len(COMPONENTS) * report.n_blocks, kept
 
 
+class TestPValuesOncePerBattery:
+    # Each public test on 20 000 bits of default_rng(11), as the tests gave
+    # them when each computed its p-values itself.
+    PLAIN_BITS_P_VALUES = {
+        "monobit": "0x1.728558ee694fcp-1",
+        "block_frequency": "0x1.a5499cc5ed8ccp-2",
+        "runs": "0x1.f49dfae3188bfp-2",
+        "longest_run": "0x1.2937fb11ab970p-1",
+        "cumulative_sums_forward": "0x1.83c52052fdd98p-1",
+        "cumulative_sums_backward": "0x1.ca01bd9845c10p-2",
+        "approximate_entropy": "0x1.7d5bfdf5a1586p-2",
+        "serial_1": "0x1.8250334386516p-2",
+        "serial_2": "0x1.bfc159938251dp-4",
+    }
+
+    def test_plain_bits_give_the_same_floats(self):
+        bits = np.random.default_rng(11).integers(0, 2, 20_000, dtype=np.uint8)
+        serial_1, serial_2 = serial(bits)
+        values = {
+            "monobit": frequency_monobit(bits),
+            "block_frequency": block_frequency(bits),
+            "runs": runs(bits),
+            "longest_run": longest_run_of_ones(bits),
+            "cumulative_sums_forward": cumulative_sums(bits, "forward"),
+            "cumulative_sums_backward": cumulative_sums(bits, "backward"),
+            "approximate_entropy": approximate_entropy(bits),
+            "serial_1": serial_1,
+            "serial_2": serial_2,
+        }
+        assert all(type(p) is float for p in values.values()), values
+        assert {name: p.hex() for name, p in values.items()} == self.PLAIN_BITS_P_VALUES
+
+    def test_battery_makes_five_incomplete_gamma_calls(self, monkeypatch):
+        # block frequency, longest run, approximate entropy and both serial
+        # p-values: one call each for every block of the battery
+        calls = []
+
+        def counting_gammainc_upper(a, x):
+            calls.append((a, np.size(x)))
+            return gammainc_upper(a, x)
+
+        monkeypatch.setattr(randtests, "gammainc_upper", counting_gammainc_upper)
+        stream = BitStream.from_bits(ideal_bits(40 * 20_000, seed=3))
+        assert len(list(randtests._groups(stream, 20_000, 40))) == 4
+        run_battery(stream, 20_000)
+        assert sorted(calls) == [(2.5, 40), (4.0, 40), (8.0, 40), (8.0, 40), (78.0, 40)]
+
+
 class TestCalibration:
     def test_p_value_uniformity_on_ideal_generator(self):
         # coarse ten-bin chi-square at significance 0.001 per component
-        from bsqrng.special import gammainc_upper
-
         n_blocks, block = 60, 20_000
         bits = ideal_bits(n_blocks * block, seed=77)
         report = run_battery(bits, block)

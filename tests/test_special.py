@@ -1,12 +1,13 @@
 """Special-function kernels against independent high-precision references."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bsqrng import special
@@ -180,3 +181,108 @@ def test_poisson_cdf_domain():
     with pytest.raises(ValueError):
         poisson_cdf(3, 0.0)
     assert poisson_cdf(-1, 1.0) == 0.0
+
+
+# Shapes from 0.1 to 1e4, log-spread: integers, half-integers and any float.
+GAMMA_SHAPES = st.one_of(
+    st.floats(0.0, 4.0).map(lambda e: float(round(10**e))),
+    st.floats(-0.31, 4.0).map(lambda e: round(10**e) + 0.5),
+    st.floats(-1.0, 4.0).map(lambda e: 10**e),
+)
+
+
+def _gamma_edges(a):
+    """x = 0, tiny x, and the series/fraction switch at a + 1 with its neighbours."""
+    return [0.0, 5e-324, 1e-300, *_neighbours(a + 1.0)]
+
+
+def _gamma_arguments(a):
+    return st.floats(0.0, 3.0 * a + 10.0) | st.sampled_from(_gamma_edges(a))
+
+
+def _gamma_elements(shared, drawn, size, seed):
+    """The drawn (shape, argument) pairs, then seeded ones out to ``size``:
+    arguments near the shape, on both sides of the switch, and its edges."""
+    rng = np.random.default_rng(seed)
+    shapes = [a for a, _ in drawn] or [shared]
+    pairs = list(drawn)
+    while len(pairs) < size:
+        a = shared if shared is not None else shapes[len(pairs) % len(shapes)]
+        x = float(rng.gamma(a + 1.0)) if rng.random() < 0.8 else float(rng.choice(_gamma_edges(a)))
+        pairs.append((a, x))
+    return pairs[:size]
+
+
+@given(
+    GAMMA_SHAPES.flatmap(lambda a: st.tuples(st.just(a), _gamma_arguments(a))).flatmap(
+        lambda first: st.tuples(
+            st.just(first),
+            st.lists(
+                GAMMA_SHAPES.flatmap(lambda a: st.tuples(st.just(a), _gamma_arguments(a))),
+                max_size=8,
+            ),
+        )
+    ),
+    st.booleans(),
+    st.integers(1, 2 * special._ARRAY_MIN_SIZE + 20),
+    st.integers(0, 2**32 - 1),
+)
+@example(((78.0, 79.0), [(78.0, 78.5), (78.0, 0.0)]), True, 2 * special._ARRAY_MIN_SIZE, 1)
+@example(((10_000.0, 10_001.0), [(0.1, 1e-300), (390.5, 400.0), (2.5, 3.5)]), False, 150, 2)
+def test_array_gammainc_upper_matches_scalar_bit_for_bit(drawn, one_shape, size, seed):
+    # one shape for every element, as the battery calls it, or one per element
+    first, others = drawn
+    if one_shape:
+        drawn = [first] + [(first[0], x) for _, x in others]
+    else:
+        drawn = [first, *others]
+    pairs = _gamma_elements(first[0] if one_shape else None, drawn, size, seed)
+    a, x = np.array(pairs).T
+    expected = [gammainc_upper(s, v).hex() for s, v in pairs]
+    q = gammainc_upper(first[0] if one_shape else a, x)
+    assert q.shape == x.shape
+    assert [v.hex() for v in q.tolist()] == expected
+
+
+def test_array_gammainc_upper_keeps_the_broadcast_shape():
+    x = np.linspace(0.0, 30.0, 300).reshape(3, 100)
+    a = np.array([[0.5], [8.0], [78.0]])
+    q = gammainc_upper(a, x)
+    assert q.shape == (3, 100)
+    assert all(
+        q[i, j].hex() == gammainc_upper(float(a[i, 0]), float(x[i, j])).hex()
+        for i in range(3)
+        for j in range(100)
+    )
+
+
+INVALID_GAMMA_ARGUMENTS = [
+    (0.0, 1.0), (-2.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (1.0, -0.5), (1.0, math.nan), (1.0, math.inf),
+]
+
+
+@given(
+    st.integers(1, 2 * special._ARRAY_MIN_SIZE),
+    st.integers(0, 10**6),
+    st.sampled_from(INVALID_GAMMA_ARGUMENTS),
+    st.sampled_from(INVALID_GAMMA_ARGUMENTS),
+)
+def test_array_gammainc_upper_refuses_what_the_scalar_refuses(size, position, bad, later_bad):
+    # the first invalid element is named, with the scalar's message
+    a, x = np.full(size, 2.5), np.full(size, 1.0)
+    position %= size
+    a[position], x[position] = bad
+    a[-1], x[-1] = later_bad if position < size - 1 else bad
+    with pytest.raises(ValueError) as scalar:
+        gammainc_upper(*bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+        gammainc_upper(a, x)
+
+
+@pytest.mark.parametrize("size", [3, 2 * special._ARRAY_MIN_SIZE])
+def test_unconverged_array_kernels_raise(monkeypatch, size):
+    monkeypatch.setattr(special, "_EPS", 0.0)
+    for x in (0.5, 20.0):  # the series, then the continued fraction
+        with pytest.raises(ArithmeticError, match=f"did not converge at a=4.0, x={x}"):
+            gammainc_upper(4.0, np.full(size, x))
